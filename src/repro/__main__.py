@@ -1,10 +1,11 @@
 """Command-line entry point: ``python -m repro [F1 T1 A2 ...]``.
 
 With no arguments, regenerates and prints every figure (F1-F8),
-experiment (T1-T9) and ablation (A1-A3); with arguments, only the named
+experiment (T1-T11) and ablation (A1-A3); with arguments, only the named
 ones.  ``python -m repro scorecard`` checks every expected shape;
 ``python -m repro perf`` runs the zero-copy microbenchmark harness and
-emits ``BENCH_PERF.json`` (see ``docs/performance.md``).
+emits ``BENCH_PERF.json`` (see ``docs/performance.md``); ``-h`` / ``--help``
+prints the usage text.
 """
 
 from __future__ import annotations
@@ -12,6 +13,21 @@ from __future__ import annotations
 import sys
 
 from repro.bench import ALL_ABLATIONS, ALL_EXPERIMENTS, ALL_FIGURES
+
+
+def usage() -> str:
+    """The top-level usage text (``python -m repro --help``)."""
+    drivers = [*ALL_FIGURES, *ALL_EXPERIMENTS, *ALL_ABLATIONS]
+    return (
+        "usage: python -m repro [NAME ...] | scorecard | perf [quick]\n"
+        "       python -m repro scenario {run|validate|list|dump} ...\n"
+        "       python -m repro trace {record|replay|diff} ...\n"
+        "\n"
+        "With no NAME, print every figure, experiment and ablation;\n"
+        "names are case-insensitive: " + " ".join(drivers) + ".\n"
+        "'scorecard' checks every expected shape; 'perf' runs the\n"
+        "microbenchmark harness and writes BENCH_PERF.json.\n"
+        "'scenario --help' and 'trace --help' describe the subcommands.")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -24,6 +40,9 @@ def main(argv: list[str] | None = None) -> int:
         from repro.scenario.cli import trace_main
 
         return trace_main(args[1:])
+    if "-h" in args or "--help" in args:
+        print(usage())
+        return 0
     wanted = {a.upper() for a in args}
     if wanted & {"--SCORECARD", "SCORECARD"}:
         from repro.bench.scorecard import run_scorecard

@@ -707,15 +707,14 @@ def run_t11(workstations: int = 60, leases_per_ws: int = 1000,
     result.data.update(
         leases=total, live_after=stats["live"],
         grants=stats["grants"], renewals=stats["renewals"],
-        expirations=stats["expirations"], strategy=stats["strategy"],
+        expirations=stats["expirations"],
         kernel_events=kernel.executed, wall_seconds=round(wall, 3),
         events_per_sec=round(kernel.executed / wall) if wall else 0)
     result.notes.append(
         "expected shape: every lease expires exactly once; the "
         "renewing fleet half outlives the silent half by the renewal "
         "horizon; kernel events stay proportional to distinct expiry "
-        "instants under bucketed expiry (vs one heap entry per lease "
-        "plus re-checks under the per-timer baseline)")
+        "instants under bucketed expiry")
     return result
 
 

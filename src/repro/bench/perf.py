@@ -1,27 +1,26 @@
 """Microbenchmark harness for the zero-copy and kernel hot paths.
 
-Wall-clock throughput of the hot paths the fast builds optimise —
+Wall-clock throughput of the optimised hot paths —
 buffer-hit checkout, write-through checkout/checkin round trips,
 group-checkin flushes, raw kernel event dispatch, TTL timer churn —
-plus the payload-sizing primitive itself.  Where a fast path changes
-the mechanics, each benchmark is measured twice: once with the fast
-path on (the default production configuration) and once against its
-in-harness baseline, so every report carries its own speedup.  Two
-baseline families exist:
+plus the payload-sizing primitive itself.  Each benchmark with a
+speed gate is measured twice: once on the production path and once
+against a small frozen reference of the regime it replaced
+(:mod:`repro.bench.reference`), so every report carries its own
+speedup.  Three reference families exist:
 
-* the **deepcopy payload** baseline
-  (:func:`~repro.repository.versions.payload_fast_path` ``(False)``)
-  for the data-shipping paths (PR 4);
-* the **pre-wheel kernel** baseline
-  (:func:`~repro.sim.scheduler.kernel_fast_path` ``(False)`` plus
-  :func:`~repro.txn.leases.lease_fast_path` ``(False)``) for the
-  event-loop paths (PR 7): a plain binary heap, a fresh record per
-  event, and one re-armable ``sim.Timer`` per lease.
+* **deepcopy payloads** for the data-shipping paths: the production
+  operation plus the payload deep copies and sizing walks the
+  pre-freeze data path paid;
+* **the heap kernel with one timer per lease** for the event-loop
+  paths: ``Kernel(wheel=False)`` and one re-armable ``sim.Timer`` per
+  TTL lease;
+* **a member scan** for federation home resolution.
 
-The report also carries a **determinism guard**: the fast kernel build
-must leave seeded event traces byte-identical, and a sharded kernel
-must reproduce the single-shard final states — perf that changes
-behaviour is a bug, not a win.
+The report also carries a **determinism guard**: a sharded kernel must
+reproduce the single-shard traces and final states, and the
+federation's placement index must equal member truth at every T10
+crash placement — perf that changes behaviour is a bug, not a win.
 
 ``python -m repro perf`` (or ``python benchmarks/perf/run_perf.py``)
 runs the suite and emits ``BENCH_PERF.json`` at the repo root — the
@@ -38,22 +37,28 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.bench.reference import (
+    CHECKIN_COPIES,
+    CHECKIN_WALKS,
+    HIT_COPIES,
+    ROUND_COPIES,
+    ROUND_WALKS,
+    DeepcopyPayloads,
+    MemberScanFederation,
+    TimerLeaseTable,
+)
 from repro.net.network import Network
 from repro.net.rpc import TransactionalRpc
-from repro.repository.placement import federation_fast_path
+from repro.repository.federation import FederatedRepository
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
 )
-from repro.repository.versions import (
-    DesignObjectVersion,
-    payload_fast_path,
-)
+from repro.repository.versions import DesignObjectVersion
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.scheduler import kernel_fast_path
 from repro.te.locks import LockManager
 from repro.te.object_buffer import ObjectBuffer
 from repro.te.transaction_manager import (
@@ -61,7 +66,7 @@ from repro.te.transaction_manager import (
     ServerTM,
     register_server_endpoints,
 )
-from repro.txn.leases import LeaseTable, lease_fast_path
+from repro.txn.leases import LeaseTable
 from repro.util.ids import IdGenerator
 
 #: schema version of the BENCH_PERF.json envelope
@@ -80,20 +85,15 @@ BUFFER_HIT_MIN_SPEEDUP = 3.0
 #: control path that used to dominate the flush)
 GROUP_FLUSH_MIN_SPEEDUP = 2.0
 
-#: acceptance floor: raw dispatch rate of the fast kernel build on a
-#: pre-scheduled far-future event storm (PR 7: timer wheel + dispatch
-#: run + slab recycling; the pre-wheel kernel managed ~770k)
+#: acceptance floor: raw kernel dispatch rate on a pre-scheduled
+#: far-future event storm (PR 7: timer wheel + dispatch run + slab
+#: recycling; the pre-wheel kernel managed ~770k)
 KERNEL_EVENTS_MIN_OPS_PER_SEC = 2_000_000
 
 #: acceptance floor: the full TTL-lease lifecycle (staggered grants,
 #: batch renewals, early releases, expiry) must beat the
 #: one-``sim.Timer``-per-lease heap baseline by at least this factor
 TIMER_CHURN_MIN_SPEEDUP = 5.0
-
-#: acceptance floor (full mode only): the whole reproduction scorecard
-#: against the all-baselines build — deepcopy payloads AND the
-#: pre-wheel kernel/lease regime
-SCORECARD_MIN_SPEEDUP = 1.5
 
 #: acceptance floor (full mode only): the multi-process sharded kernel
 #: at 4 worker processes must deliver at least this much *capacity*
@@ -182,131 +182,144 @@ def _best_ops_per_sec(run_ops: Callable[[], int], repeats: int) -> float:
 # -- the microbenchmarks -----------------------------------------------------
 
 
-def _measure_buffer_hit(ops: int, fast: bool, repeats: int) -> float:
+def _measure_buffer_hit(ops: int, baseline: bool, repeats: int) -> float:
     """Buffer-hit checkouts per second (the zero-network read path)."""
-    with payload_fast_path(fast):
-        rig = _make_rig(buffering=True)
-        client: ClientTM = rig["client"]
-        dov0 = rig["repository"].checkin(
-            "da-1", "Cell", _nested_payload(), ())
-        warm = client.begin_dop("da-1", tool="bench")
-        client.checkout(warm, dov0.dov_id)  # the one miss: installs
-        client.drop_dop(warm)
+    rig = _make_rig(buffering=True)
+    client: ClientTM = rig["client"]
+    dov0 = rig["repository"].checkin(
+        "da-1", "Cell", _nested_payload(), ())
+    warm = client.begin_dop("da-1", tool="bench")
+    client.checkout(warm, dov0.dov_id)  # the one miss: installs
+    client.drop_dop(warm)
+    extra = DeepcopyPayloads(_nested_payload(), HIT_COPIES) \
+        if baseline else None
 
-        def run_ops() -> int:
-            done = 0
-            while done < ops:
-                dop = client.begin_dop("da-1", tool="bench")
-                for _ in range(16):
-                    client.checkout(dop, dov0.dov_id)
-                done += 16
-                client.drop_dop(dop)
-            return done
+    def run_ops() -> int:
+        done = 0
+        while done < ops:
+            dop = client.begin_dop("da-1", tool="bench")
+            for _ in range(16):
+                client.checkout(dop, dov0.dov_id)
+            if extra is not None:
+                extra.pay(16)
+            done += 16
+            client.drop_dop(dop)
+        return done
 
-        return _best_ops_per_sec(run_ops, repeats)
+    return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_write_through(ops: int, fast: bool, repeats: int) -> float:
+def _measure_write_through(ops: int, baseline: bool,
+                           repeats: int) -> float:
     """Uncached checkout+checkin round trips per second (RPC + 2PC +
     WAL force per round — the write-through data-shipping path)."""
-    with payload_fast_path(fast):
-        rig = _make_rig(buffering=False)
-        client: ClientTM = rig["client"]
-        state = {"current": rig["repository"].checkin(
-            "da-1", "Cell", _nested_payload(), ()).dov_id, "rev": 0}
+    rig = _make_rig(buffering=False)
+    client: ClientTM = rig["client"]
+    state = {"current": rig["repository"].checkin(
+        "da-1", "Cell", _nested_payload(), ()).dov_id, "rev": 0}
+    extra = DeepcopyPayloads(_nested_payload(), ROUND_COPIES,
+                             ROUND_WALKS) if baseline else None
 
-        def run_ops() -> int:
-            for _ in range(ops):
-                dop = client.begin_dop("da-1", tool="bench")
-                client.checkout(dop, state["current"])
-                state["rev"] += 1
-                result = client.checkin(
-                    dop, "Cell", data=_nested_payload(rev=state["rev"]),
-                    parents=[state["current"]])
-                state["current"] = result.dov.dov_id
-                client.commit_dop(dop, result)
-            return ops
+    def run_ops() -> int:
+        for _ in range(ops):
+            dop = client.begin_dop("da-1", tool="bench")
+            client.checkout(dop, state["current"])
+            state["rev"] += 1
+            result = client.checkin(
+                dop, "Cell", data=_nested_payload(rev=state["rev"]),
+                parents=[state["current"]])
+            state["current"] = result.dov.dov_id
+            client.commit_dop(dop, result)
+            if extra is not None:
+                extra.pay()
+        return ops
 
-        return _best_ops_per_sec(run_ops, repeats)
+    return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_group_flush(flushes: int, batch: int, fast: bool,
+def _measure_group_flush(flushes: int, batch: int, baseline: bool,
                          repeats: int) -> float:
     """Group-checkin flushes per second (*batch* deferred checkins per
     flush: one batched ship, one 2PC, one forced WAL write, rebind)."""
-    with payload_fast_path(fast):
-        rig = _make_rig(buffering=True, write_back=True)
-        client: ClientTM = rig["client"]
-        state = {"rev": 0}
+    rig = _make_rig(buffering=True, write_back=True)
+    client: ClientTM = rig["client"]
+    state = {"rev": 0}
+    extra = DeepcopyPayloads(_nested_payload(), CHECKIN_COPIES,
+                             CHECKIN_WALKS) if baseline else None
 
-        def run_ops() -> int:
-            for _ in range(flushes):
-                dop = client.begin_dop("da-1", tool="bench")
-                for _ in range(batch):
-                    state["rev"] += 1
-                    client.checkin(dop, "Cell",
-                                   data=_nested_payload(rev=state["rev"]),
-                                   parents=[])
-                client.commit_dop(dop)  # End-of-DOP flush trigger
-            return flushes
+    def run_ops() -> int:
+        for _ in range(flushes):
+            dop = client.begin_dop("da-1", tool="bench")
+            for _ in range(batch):
+                state["rev"] += 1
+                client.checkin(dop, "Cell",
+                               data=_nested_payload(rev=state["rev"]),
+                               parents=[])
+            client.commit_dop(dop)  # End-of-DOP flush trigger
+            if extra is not None:
+                extra.pay(batch)
+        return flushes
 
-        return _best_ops_per_sec(run_ops, repeats)
+    return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_cross_flush(rounds: int, team: int, batch: int, fast: bool,
-                         repeats: int) -> float:
+def _measure_cross_flush(rounds: int, team: int, batch: int,
+                         baseline: bool, repeats: int) -> float:
     """Cross-workstation group commits per second: *team* dirty sets
     under ONE coordinator, ONE decision and ONE forced WAL write
     (:func:`repro.txn.flush_group`)."""
     from repro.txn import flush_group
 
-    with payload_fast_path(fast):
-        clock = SimClock()
-        network = Network(clock)
-        network.add_server()
-        repository = DesignDataRepository()
-        locks = LockManager()
-        server_tm = ServerTM(repository, locks, network, clock=clock)
-        server_tm.scope_check = lambda da_id, dov_id: True
-        rpc = TransactionalRpc(network)
-        register_server_endpoints(rpc, server_tm)
-        ids = IdGenerator()
-        repository.register_dot(DesignObjectType("Cell", attributes=[
-            AttributeDef("name", AttributeKind.STRING),
-            AttributeDef("meta", AttributeKind.JSON),
-            AttributeDef("tree", AttributeKind.JSON),
-        ]))
-        clients = []
-        for index in range(team):
-            workstation = f"ws-{index}"
-            network.add_workstation(workstation)
-            repository.create_graph(f"da-{index}")
-            clients.append(ClientTM(
-                workstation, server_tm, rpc, clock, ids=ids,
-                buffer=ObjectBuffer(workstation), write_back=True,
-                flush_on_end_dop=False))
-        state = {"rev": 0}
+    clock = SimClock()
+    network = Network(clock)
+    network.add_server()
+    repository = DesignDataRepository()
+    locks = LockManager()
+    server_tm = ServerTM(repository, locks, network, clock=clock)
+    server_tm.scope_check = lambda da_id, dov_id: True
+    rpc = TransactionalRpc(network)
+    register_server_endpoints(rpc, server_tm)
+    ids = IdGenerator()
+    repository.register_dot(DesignObjectType("Cell", attributes=[
+        AttributeDef("name", AttributeKind.STRING),
+        AttributeDef("meta", AttributeKind.JSON),
+        AttributeDef("tree", AttributeKind.JSON),
+    ]))
+    clients = []
+    for index in range(team):
+        workstation = f"ws-{index}"
+        network.add_workstation(workstation)
+        repository.create_graph(f"da-{index}")
+        clients.append(ClientTM(
+            workstation, server_tm, rpc, clock, ids=ids,
+            buffer=ObjectBuffer(workstation), write_back=True,
+            flush_on_end_dop=False))
+    state = {"rev": 0}
+    extra = DeepcopyPayloads(_nested_payload(), CHECKIN_COPIES,
+                             CHECKIN_WALKS) if baseline else None
 
-        def run_ops() -> int:
-            for _ in range(rounds):
-                dops = []
-                for index, client in enumerate(clients):
-                    dop = client.begin_dop(f"da-{index}", tool="bench")
-                    for _ in range(batch):
-                        state["rev"] += 1
-                        client.checkin(
-                            dop, "Cell",
-                            data=_nested_payload(rev=state["rev"]),
-                            parents=[])
-                    dops.append((client, dop))
-                flush_group(clients)
-                for client, dop in dops:
-                    client.commit_dop(dop)
-            return rounds
-        return _best_ops_per_sec(run_ops, repeats)
+    def run_ops() -> int:
+        for _ in range(rounds):
+            dops = []
+            for index, client in enumerate(clients):
+                dop = client.begin_dop(f"da-{index}", tool="bench")
+                for _ in range(batch):
+                    state["rev"] += 1
+                    client.checkin(
+                        dop, "Cell",
+                        data=_nested_payload(rev=state["rev"]),
+                        parents=[])
+                dops.append((client, dop))
+            flush_group(clients)
+            for client, dop in dops:
+                client.commit_dop(dop)
+            if extra is not None:
+                extra.pay(team * batch)
+        return rounds
+    return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_kernel_events(events: int, fast: bool,
+def _measure_kernel_events(events: int, baseline: bool,
                            repeats: int) -> float:
     """Raw kernel dispatch rate: events per second popped and executed
     from a pre-scheduled far-future storm.
@@ -316,13 +329,14 @@ def _measure_kernel_events(events: int, fast: bool,
     happens *outside* the timed region: this benchmark isolates the
     dispatch engine (wheel drains, the sorted dispatch run, the batch
     pop loop, slab recycling) from the schedule-side cost, which the
-    ``kernel_timer_churn`` contrast covers end to end.
+    ``kernel_timer_churn`` contrast covers end to end.  The baseline
+    is the heap-only kernel (``wheel=False``).
     """
     best = 0.0
     step = 80.0 / max(events, 1)
     for _ in range(max(repeats, 1)):
-        with kernel_fast_path(fast):
-            kernel = Kernel(SimClock(), trace_events=False)
+        kernel = Kernel(SimClock(), trace_events=False,
+                        wheel=not baseline)
         noop = _noop
         defer = kernel.defer
         for index in range(events):
@@ -340,7 +354,7 @@ def _noop() -> None:
     """The measured event body of the dispatch storm."""
 
 
-def _measure_timer_churn(leases: int, fast: bool,
+def _measure_timer_churn(leases: int, baseline: bool,
                          repeats: int) -> float:
     """TTL-lease lifecycles settled per second, end to end.
 
@@ -348,21 +362,23 @@ def _measure_timer_churn(leases: int, fast: bool,
     wheel exists for: ``leases`` leases granted in per-workstation
     waves (staggered horizons), after which 60% of the fleet releases
     its whole set mid-life (the cancels), 20% batch-renews twice
-    before going silent, and 20% just expires.  The fast build runs
+    before going silent, and 20% just expires.  Production runs
     bucketed lease expiry on the wheel kernel; the baseline runs the
-    pre-PR regime — one re-armable ``sim.Timer`` per lease on the heap
+    reference regime — one re-armable ``sim.Timer`` per lease
+    (:class:`~repro.bench.reference.TimerLeaseTable`) on the heap
     kernel, where every release still dispatches a no-op check event
     and every renewal costs an extra re-check.
     """
     stations = max(leases // 1000, 4)
     per_station = max(leases // stations, 1)
     ttl = 30.0
+    table_type = TimerLeaseTable if baseline else LeaseTable
 
     def run_ops() -> int:
-        with kernel_fast_path(fast), lease_fast_path(fast):
-            kernel = Kernel(SimClock(), trace_events=False)
-            table = LeaseTable(kernel.clock, ttl=ttl,
-                               kernel_source=lambda: kernel)
+        kernel = Kernel(SimClock(), trace_events=False,
+                        wheel=not baseline)
+        table = table_type(kernel.clock, ttl=ttl,
+                           kernel_source=lambda: kernel)
 
         def grant_wave(station: str) -> None:
             for index in range(per_station):
@@ -394,13 +410,11 @@ def _measure_timer_churn(leases: int, fast: bool,
     return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_scorecard(fast: bool, repeats: int,
-                       quick: bool) -> float:
-    """Full scorecard runs per second — the end-to-end wall-clock
-    claim: every figure/experiment driver, the fast build vs the
-    all-baselines build (deepcopy payloads + pre-wheel kernel and
-    leases).  Quick mode restricts the card to the data-shipping
-    experiments."""
+def _measure_scorecard(repeats: int, quick: bool) -> float:
+    """Full scorecard runs per second — the whole-system wall clock of
+    every figure/experiment driver (an informational trajectory row:
+    it has no reference to divide by).  Quick mode restricts the card
+    to the data-shipping experiments."""
     from repro.bench.scorecard import run_scorecard
 
     only = {"T8", "T9"} if quick else None
@@ -410,9 +424,7 @@ def _measure_scorecard(fast: bool, repeats: int,
         assert card.data["failures"] == 0
         return 1
 
-    with payload_fast_path(fast), kernel_fast_path(fast), \
-            lease_fast_path(fast):
-        return _best_ops_per_sec(run_ops, repeats)
+    return _best_ops_per_sec(run_ops, repeats)
 
 
 def _measure_shard_scaling(quick: bool) -> dict[str, Any]:
@@ -512,14 +524,14 @@ def _measure_federation_scaling(quick: bool,
     size was the per-version home-resolution scan the placement index
     removed.  The gate is *flatness*: seconds per batch at the largest
     sweep point must stay within :data:`FEDERATION_FLATNESS_MAX` of
-    the smallest.  The compat baseline re-times the largest federation
-    with ``federation_fast_path(False)`` (the seed's scan per staged
-    version), and a separate bounded-log run proves the decision log's
-    checkpoint frontier keeps its record count inside 2x the
-    :data:`FEDERATION_LOG_WINDOW` across >= 3 truncation cycles —
-    ending with a coordinator crash + recovery over the truncated log.
+    the smallest.  The baseline re-times the largest federation with
+    :class:`~repro.bench.reference.MemberScanFederation` (a member scan
+    per staged version), and a separate bounded-log run proves the
+    decision log's checkpoint frontier keeps its record count inside
+    2x the :data:`FEDERATION_LOG_WINDOW` across >= 3 truncation cycles
+    — ending with a coordinator crash + recovery over the truncated
+    log.
     """
-    from repro.repository.federation import FederatedRepository
     from repro.txn.decision_log import GlobalDecisionLog
 
     das = 4
@@ -528,9 +540,10 @@ def _measure_federation_scaling(quick: bool,
     counts = (4, 8) if quick else (4, 16, 64)
 
     def build(members: int,
-              decision_log: GlobalDecisionLog | None = None):
+              decision_log: GlobalDecisionLog | None = None,
+              kind: type[FederatedRepository] = FederatedRepository):
         ids = IdGenerator()
-        federation = FederatedRepository(
+        federation = kind(
             {f"site-{index}": DesignDataRepository(ids)
              for index in range(members)},
             decision_log=decision_log)
@@ -573,10 +586,12 @@ def _measure_federation_scaling(quick: bool,
                 heads[dov.created_by] = dov.dov_id
         return elapsed
 
-    def seconds_per_batch(members: int) -> float:
+    def seconds_per_batch(members: int,
+                          kind: type[FederatedRepository]
+                          = FederatedRepository) -> float:
         best = float("inf")
         for _ in range(max(repeats, 1)):
-            federation, heads = build(members)
+            federation, heads = build(members, kind=kind)
             elapsed = run_batches(federation, heads, batches,
                                   {"rev": 0})
             best = min(best, elapsed / batches)
@@ -586,9 +601,8 @@ def _measure_federation_scaling(quick: bool,
     smallest, largest = min(counts), max(counts)
     flatness = round(sweep[largest] / sweep[smallest], 3) \
         if sweep[smallest] else None
-    with federation_fast_path(False):
-        compat = seconds_per_batch(largest)
-    speedup = round(compat / sweep[largest], 2) \
+    scan = seconds_per_batch(largest, MemberScanFederation)
+    speedup = round(scan / sweep[largest], 2) \
         if sweep[largest] else None
 
     # -- bounded-log run: >= 3 checkpoint/truncation cycles, record
@@ -632,9 +646,8 @@ def _measure_federation_scaling(quick: bool,
         "sweep_unit": "ms per batch",
         "flatness": flatness,
         "flatness_max": FEDERATION_FLATNESS_MAX,
-        "baseline": f"member-scan resolution at {largest} members "
-                    "(federation_fast_path off)",
-        "baseline_ms_per_batch": round(compat * 1000.0, 4),
+        "baseline": f"member-scan resolution at {largest} members",
+        "baseline_ms_per_batch": round(scan * 1000.0, 4),
         "speedup_vs_baseline": speedup,
         "bounded_log": {
             "window": window,
@@ -664,25 +677,25 @@ def _environment() -> dict[str, Any]:
 
 
 def _determinism_guard(quick: bool) -> dict[str, Any]:
-    """Prove the fast kernel changes speed, not behaviour.
+    """Prove the kernel and the federation change speed, not behaviour.
 
-    * **Trace guard** — the seeded T7 concurrent-delegation scenario
-      must produce a byte-identical kernel event trace under the fast
-      build (wheel + slab + dispatch run) and the compat build (plain
-      heap, fresh record per event); a synthetic storm must trace
-      identically on ``Kernel`` and ``ShardedKernel(shards=1)``.
+    * **Trace guard** — a synthetic storm must trace identically on
+      ``Kernel`` and ``ShardedKernel(shards=1)``; the seeded golden
+      traces (``tests/data/traces``) pin the full event streams.
     * **Shard guard** — under ``shards=2`` the interleaving across
       shards may differ, but the final scenario reports (states,
       makespans, counters) must equal the single-shard run's.
-    * **Federation guard** — the full T10 crash matrix must produce
-      identical reports with the placement index on and off
-      (``federation_fast_path(False)`` restores the seed's member
-      scans), and a federation directory rebuilt from the members
+    * **Federation guard** — at every T10 crash placement the
+      placement index must equal member truth (each staged id's home
+      is the member that holds it, found by the reference member
+      scan), and a federation directory rebuilt from the members
       after a coordinator loss must equal the pre-crash directory.
     """
     from dataclasses import asdict
 
+    from repro.bench.reference import staged_home_mismatches
     from repro.bench.scenarios import (
+        _federation_rebuild_check,
         concurrent_delegation_scenario,
         federated_commit_scenario,
         object_buffer_scenario,
@@ -692,15 +705,13 @@ def _determinism_guard(quick: bool) -> dict[str, Any]:
 
     subcells = ("A", "B")
 
-    def t7(fast: bool, shards: int = 1) -> tuple[Any, Any]:
-        with kernel_fast_path(fast):
-            system, report = concurrent_delegation_scenario(
-                subcells, shards=shards)
+    def t7(shards: int = 1) -> tuple[Any, Any]:
+        system, report = concurrent_delegation_scenario(
+            subcells, shards=shards)
         return system.kernel.trace_signature(), asdict(report)
 
-    fast_trace, fast_report = t7(True)
-    compat_trace, __ = t7(False)
-    __, sharded_report = t7(True, shards=2)
+    trace, report = t7()
+    __, sharded_report = t7(shards=2)
 
     def storm_signature(kernel: Kernel) -> tuple:
         for index in range(64):
@@ -712,28 +723,25 @@ def _determinism_guard(quick: bool) -> dict[str, Any]:
     shard1 = storm_signature(ShardedKernel(SimClock(), shards=1)) \
         == storm_signature(Kernel(SimClock()))
 
-    def t10_matrix(fast: bool) -> dict[str, Any]:
-        with federation_fast_path(fast):
-            return {crash: asdict(federated_commit_scenario(crash=crash))
-                    for crash in ("none", "before", "after",
-                                  "coordinator")}
+    def t10_member_truth() -> bool:
+        audits: list[list[str]] = []
+        for crash in ("none", "before", "after", "coordinator"):
+            federated_commit_scenario(
+                crash=crash,
+                audit=lambda federation:
+                audits.append(staged_home_mismatches(federation)))
+        return bool(audits) and not any(audits)
 
-    def directory_rebuild_identical() -> bool:
+    checks = {
+        "t7_trace_events": trace[0],
+        "shard1_storm_trace_identical": shard1,
+        "t7_report_identical_shards2": report == sharded_report,
+        "t10_placement_matches_member_truth": t10_member_truth(),
         # seeded cross-member commits + a version left staged, then a
         # coordinator loss: the index rebuilt from the members alone
         # must equal the pre-crash snapshot on every surface
-        from repro.bench.scenarios import _federation_rebuild_check
-        return _federation_rebuild_check()
-
-    checks = {
-        "t7_trace_fast_vs_compat": fast_trace == compat_trace,
-        "t7_trace_events": fast_trace[0],
-        "shard1_storm_trace_identical": shard1,
-        "t7_report_identical_shards2": fast_report == sharded_report,
-        "t10_report_identical_fast_vs_compat":
-            t10_matrix(True) == t10_matrix(False),
         "federation_directory_rebuild_identical":
-            directory_rebuild_identical(),
+            _federation_rebuild_check(),
     }
     if not quick:
         checks["t8_report_identical_shards2"] = \
@@ -747,20 +755,24 @@ def _determinism_guard(quick: bool) -> dict[str, Any]:
     return checks
 
 
-def _measure_sizing(ops: int, fast: bool, repeats: int) -> float:
+def _measure_sizing(ops: int, baseline: bool, repeats: int) -> float:
     """``payload_size`` accesses per second: cached stamp vs the
     recursive re-walk of the pre-freeze property."""
-    with payload_fast_path(fast):
-        dov = DesignObjectVersion(
-            "dov-bench", "Cell", _nested_payload(), "da-1", 0.0)
+    dov = DesignObjectVersion(
+        "dov-bench", "Cell", _nested_payload(), "da-1", 0.0)
+    walk = DeepcopyPayloads(_nested_payload(), copies=0, walks=1)
 
-        def run_ops() -> int:
-            total = 0
+    def run_ops() -> int:
+        total = 0
+        if baseline:
+            for _ in range(ops):
+                total += walk.pay()
+        else:
             for _ in range(ops):
                 total += dov.payload_size
-            return ops if total else ops
+        return ops if total else ops
 
-        return _best_ops_per_sec(run_ops, repeats)
+    return _best_ops_per_sec(run_ops, repeats)
 
 
 # -- the suite ---------------------------------------------------------------
@@ -784,16 +796,16 @@ def run_perf(quick: bool = False, repeats: int = 3,
     def contrast(name: str, description: str, ops: int,
                  measure: Callable[[bool], float],
                  baseline: str = "deepcopy payload") -> None:
-        fast = measure(True)
-        base = measure(False)
+        rate = measure(False)
+        base = measure(True)
         bench: dict[str, Any] = {
             "description": description,
             "ops": ops,
-            "ops_per_sec": round(fast, 2),
+            "ops_per_sec": round(rate, 2),
             "baseline": baseline,
             "baseline_ops_per_sec": round(base, 2),
             "speedup_vs_baseline":
-                round(fast / base, 2) if base else None,
+                round(rate / base, 2) if base else None,
         }
         if baseline == "deepcopy payload":
             # historical key the PR 4 artifacts and reports used
@@ -806,14 +818,15 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "checkout_buffer_hit",
         "buffer-hit checkouts/sec: frozen zero-copy install vs the "
         "deepcopy-per-read baseline",
-        ops, lambda fast: _measure_buffer_hit(ops, fast, repeats))
+        ops, lambda baseline: _measure_buffer_hit(ops, baseline, repeats))
 
     rounds = n(320)
     contrast(
         "checkout_checkin_write_through",
         "uncached checkout+checkin round trips/sec (RPC + sized "
         "shipment + 2PC + forced WAL write per round)",
-        rounds, lambda fast: _measure_write_through(rounds, fast, repeats))
+        rounds,
+        lambda baseline: _measure_write_through(rounds, baseline, repeats))
 
     flushes, batch = n(48), 16
     contrast(
@@ -821,7 +834,8 @@ def run_perf(quick: bool = False, repeats: int = 3,
         f"write-back group flushes/sec ({batch} deferred checkins per "
         "flush: one batched ship, one 2PC, one WAL force, rebind)",
         flushes,
-        lambda fast: _measure_group_flush(flushes, batch, fast, repeats))
+        lambda baseline: _measure_group_flush(flushes, batch, baseline,
+                                              repeats))
     benchmarks["group_checkin_flush"]["batch"] = batch
     fps = benchmarks["group_checkin_flush"]["ops_per_sec"]
     benchmarks["group_checkin_flush"]["flush_latency_ms"] = \
@@ -834,8 +848,8 @@ def run_perf(quick: bool = False, repeats: int = 3,
         f"dirty sets, {batch} checkins each, under ONE coordinator / "
         "decision / forced WAL write)",
         rounds,
-        lambda fast: _measure_cross_flush(rounds, team, batch, fast,
-                                          repeats))
+        lambda baseline: _measure_cross_flush(rounds, team, batch,
+                                              baseline, repeats))
     benchmarks["cross_workstation_group_commit"]["team"] = team
     benchmarks["cross_workstation_group_commit"]["batch"] = batch
 
@@ -844,10 +858,10 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "kernel_events",
         "kernel events dispatched/sec from a pre-scheduled "
         "far-future storm (wheel drains + sorted dispatch run + "
-        "batch pop + slab recycling vs the plain-heap kernel)",
+        "batch pop + slab recycling vs the heap-only kernel)",
         events,
-        lambda fast: _measure_kernel_events(events, fast, repeats),
-        baseline="pre-wheel heap kernel")
+        lambda baseline: _measure_kernel_events(events, baseline, repeats),
+        baseline="heap-only kernel (wheel=False)")
 
     churn = n(100_000, 2048)
     contrast(
@@ -857,7 +871,7 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "bucketed expiry on the wheel kernel vs one sim.Timer heap "
         "entry per lease",
         churn,
-        lambda fast: _measure_timer_churn(churn, fast, repeats),
+        lambda baseline: _measure_timer_churn(churn, baseline, repeats),
         baseline="one sim.Timer per lease on the heap kernel")
 
     sizings = n(4000, 64)
@@ -865,21 +879,17 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "payload_sizing",
         "DesignObjectVersion.payload_size accesses/sec: cached "
         "one-walk stamp vs recursive re-walk per access",
-        sizings, lambda fast: _measure_sizing(sizings, fast, repeats))
+        sizings, lambda baseline: _measure_sizing(sizings, baseline, repeats))
 
-    contrast(
-        "scorecard_wall_clock",
-        "full reproduction-scorecard runs/sec (every driver, end to "
-        "end) — the whole-system wall-clock effect of the fast "
-        "builds vs deepcopy payloads + the pre-wheel kernel/leases",
-        1, lambda fast: _measure_scorecard(fast, repeats, quick),
-        baseline="deepcopy payload + pre-wheel kernel and leases")
-    card = benchmarks["scorecard_wall_clock"]
-    card["wall_seconds"] = \
-        round(1.0 / card["ops_per_sec"], 3) if card["ops_per_sec"] else None
-    card["baseline_wall_seconds"] = \
-        round(1.0 / card["baseline_ops_per_sec"], 3) \
-        if card["baseline_ops_per_sec"] else None
+    card_rate = _measure_scorecard(repeats, quick)
+    benchmarks["scorecard_wall_clock"] = {
+        "description":
+            "full reproduction-scorecard runs/sec (every driver, end "
+            "to end) — informational trajectory, no reference",
+        "ops": 1,
+        "ops_per_sec": round(card_rate, 2),
+        "wall_seconds": round(1.0 / card_rate, 3) if card_rate else None,
+    }
 
     benchmarks["shard_scaling"] = _measure_shard_scaling(quick)
     scaling = benchmarks["shard_scaling"]
@@ -906,8 +916,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "kernel_events_ops_per_sec": kernel["ops_per_sec"],
         "timer_churn_min_speedup": TIMER_CHURN_MIN_SPEEDUP,
         "timer_churn_speedup": churn_bench["speedup_vs_baseline"],
-        "scorecard_min_speedup": SCORECARD_MIN_SPEEDUP,
-        "scorecard_speedup": card["speedup_vs_baseline"],
         "shard_scaling_min_speedup": SHARD_SCALING_MIN_SPEEDUP,
         "shard_scaling_speedup": scaling["speedup_vs_baseline"],
         "federation_flatness_max": FEDERATION_FLATNESS_MAX,
@@ -933,8 +941,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
               >= KERNEL_EVENTS_MIN_OPS_PER_SEC
               and (churn_bench["speedup_vs_baseline"] or 0.0)
               >= TIMER_CHURN_MIN_SPEEDUP
-              and (card["speedup_vs_baseline"] or 0.0)
-              >= SCORECARD_MIN_SPEEDUP
               and (scaling["speedup_vs_baseline"] or 0.0)
               >= SHARD_SCALING_MIN_SPEEDUP
               and (federation["flatness"] or float("inf"))
@@ -962,6 +968,10 @@ def render(report: dict[str, Any]) -> str:
     lines = [f"== PERF: zero-copy + kernel hot paths "
              f"({report['mode']}, repeats={report['repeats']}) =="]
     for name, bench in report["benchmarks"].items():
+        if "baseline" not in bench and bench.get("wall_seconds"):
+            # the informational whole-scorecard row: seconds per run
+            lines.append(f"{name:32s} {bench['wall_seconds']:>12,.3f} s/run")
+            continue
         lines.append(f"{name:32s} {bench['ops_per_sec']:>12,.0f} ops/s"
                      + (f"  ({bench['speedup_vs_baseline']:.2f}x "
                         f"vs {bench.get('baseline', 'baseline')})"
@@ -989,8 +999,6 @@ def render(report: dict[str, Any]) -> str:
             f">= {acceptance['kernel_events_min_ops_per_sec']:,d}/s",
             f"timer-churn {acceptance['timer_churn_speedup']:.2f}x "
             f">= {acceptance['timer_churn_min_speedup']:.1f}x",
-            f"scorecard {acceptance['scorecard_speedup']:.2f}x "
-            f">= {acceptance['scorecard_min_speedup']:.1f}x",
             f"shard-scaling {acceptance['shard_scaling_speedup']:.2f}x "
             f">= {acceptance['shard_scaling_min_speedup']:.1f}x "
             f"capacity",

@@ -849,7 +849,8 @@ def federated_commit_scenario(crash: str = "none", members: int = 3,
                               batches: int = 4, crash_batch: int = 1,
                               crash_member: int = 1, seed: int = 17,
                               placement: str = "directory",
-                              ) -> FederatedCommitReport:
+                              *, audit: Callable[[Any], None] | None
+                              = None) -> FederatedCommitReport:
     """Cross-member ``commit_group`` under injected crashes.
 
     A federation of *members* repositories holds one DA per member;
@@ -877,6 +878,9 @@ def federated_commit_scenario(crash: str = "none", members: int = 3,
     *placement* selects the federation's DA-placement strategy
     (irrelevant to the outcome here — every DA is pinned with
     ``assign`` — but it lets the scenario exercise both index modes).
+    *audit*, when given, is called with the federation after every
+    batch is staged and again at the injected crash instant — the
+    moments a staged id's home must still equal member truth.
     """
     from repro.repository.federation import FederatedRepository
 
@@ -921,12 +925,19 @@ def federated_commit_scenario(crash: str = "none", members: int = 3,
         for dov in committed:
             current[dov.created_by] = dov.dov_id
 
+    def check() -> None:
+        if audit is not None:
+            audit(federation)
+
     for batch in range(batches):
         rev = batch + 1
         injected = crash == "before" and batch == crash_batch
         if injected:
             federation.crash_member(target)
+            check()
         staged = stage_batch(rev) if not injected else None
+        if not injected:
+            check()
         if injected:
             # staging on the crashed home member fails outright; the
             # batch never forms — same presumed-abort outcome as a
@@ -939,6 +950,7 @@ def federated_commit_scenario(crash: str = "none", members: int = 3,
                 report.aborted_batches += 1
             federation.recover_member(target)
             staged = stage_batch(rev)  # retry after recovery
+            check()
             report.retried_batches += 1
             remember(federation.commit_group(staged))
         elif crash == "after" and batch == crash_batch:
@@ -946,6 +958,7 @@ def federated_commit_scenario(crash: str = "none", members: int = 3,
                                             manifest: dict) -> None:
                 federation.decision_log.on_decision = None
                 federation.crash_member(target)
+                check()
 
             federation.decision_log.on_decision = \
                 crash_member_after_decision
@@ -962,6 +975,7 @@ def federated_commit_scenario(crash: str = "none", members: int = 3,
         elif crash == "coordinator" and batch == crash_batch:
             def crash_coordinator(gtxn_id: str, manifest: dict) -> None:
                 federation.decision_log.on_decision = None
+                check()
                 raise _CoordinatorCrash(gtxn_id)
 
             federation.decision_log.on_decision = crash_coordinator

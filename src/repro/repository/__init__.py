@@ -11,10 +11,7 @@ from repro.repository.configurations import (
     ConfigurationManager,
 )
 from repro.repository.federation import FederatedRepository
-from repro.repository.placement import (
-    PlacementIndex,
-    federation_fast_path,
-)
+from repro.repository.placement import PlacementIndex
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
@@ -43,6 +40,5 @@ __all__ = [
     "PlacementIndex",
     "VersionStore",
     "WriteAheadLog",
-    "federation_fast_path",
     "range_constraint",
 ]

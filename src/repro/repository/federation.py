@@ -21,19 +21,14 @@ staged or durable — goes through the coordinator-side
 scanned every member's ``staged_ids()`` per version), reads stay O(1)
 at millions of DOVs, and after a coordinator or whole-site loss
 :meth:`recover_directory` rebuilds the entire index from the members'
-own WAL-recovered stores.  ``federation_fast_path(False)`` restores
-the seed's scan-based resolution for the byte-identical compat guard.
+own WAL-recovered stores.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
-from repro.repository.placement import (
-    PlacementIndex,
-    federation_fast_path,  # noqa: F401  (re-export: the compat switch)
-    federation_fast_path_enabled,
-)
+from repro.repository.placement import PlacementIndex
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
 from repro.repository.versions import DerivationGraph, DesignObjectVersion
@@ -251,14 +246,8 @@ class FederatedRepository:
         return dov
 
     def _staged_home_of(self, dov_id: str) -> str | None:
-        """Home member of a staged version: indexed O(1) on the fast
-        path, the seed's every-member scan on the compat path."""
-        if federation_fast_path_enabled():
-            return self.placement_index.staged_home(dov_id)
-        for name, repo in self._members.items():
-            if dov_id in repo.store.staged_ids():
-                return name
-        return None
+        """Home member of a staged version (an O(1) index lookup)."""
+        return self.placement_index.staged_home(dov_id)
 
     def commit_checkin(self, dov_id: str) -> DesignObjectVersion:
         """Commit on the member that staged it; update the directory."""
@@ -272,20 +261,15 @@ class FederatedRepository:
 
     def abort_checkin(self, dov_id: str) -> bool:
         """Abort wherever the version was staged."""
-        if federation_fast_path_enabled():
-            name = self.placement_index.unstage(dov_id)
-            if name is None:
-                return False
-            return self._members[name].abort_checkin(dov_id)
-        self.placement_index.unstage(dov_id)
-        return any(repo.abort_checkin(dov_id)
-                   for repo in self._members.values())
+        name = self.placement_index.unstage(dov_id)
+        if name is None:
+            return False
+        return self._members[name].abort_checkin(dov_id)
 
     def _resolve_batch_homes(self, dov_ids: list[str]) -> dict[str, str]:
         """Map every staged id of a batch to its home member.
 
-        O(batch) on the fast path — one index lookup per id, zero
-        member scans.  An unresolvable id aborts the whole batch
+        O(batch) — one index lookup per id, zero member scans.  An unresolvable id aborts the whole batch
         (presumed abort): the portions already resolved are un-staged
         so nothing dangles, and the error names any down member.
         """

@@ -25,11 +25,7 @@ from typing import Any, Callable, Iterator
 
 from repro.repository.schema import DesignObjectType
 from repro.repository.storage import VersionStore
-from repro.repository.versions import (
-    DerivationGraph,
-    DesignObjectVersion,
-    adopt_payload,
-)
+from repro.repository.versions import DerivationGraph, DesignObjectVersion
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.util.errors import (
     IntegrityError,
@@ -185,7 +181,7 @@ class DesignDataRepository:
             # a payload the client already froze is adopted as-is: the
             # durable version then *shares* the immutable data (and its
             # cached size) with the shipped copy — zero re-walk
-            data=adopt_payload(data),
+            data=data,
             created_by=da_id,
             created_at=created_at,
             parents=parents,
@@ -334,7 +330,7 @@ class DesignDataRepository:
                 continue  # already durable: redo is idempotent
             dov = DesignObjectVersion(
                 dov_id=raw["dov_id"], dot_name=raw["dot"],
-                data=adopt_payload(raw["data"]),
+                data=raw["data"],
                 created_by=raw["created_by"],
                 created_at=raw["created_at"],
                 parents=tuple(raw["parents"]))
@@ -405,7 +401,7 @@ class DesignDataRepository:
             checkpoint_lsn = latest.lsn
             dovs = [DesignObjectVersion(
                 dov_id=raw["dov_id"], dot_name=raw["dot"],
-                data=adopt_payload(raw["data"]),
+                data=raw["data"],
                 created_by=raw["created_by"],
                 created_at=raw["created_at"],
                 parents=tuple(raw["parents"]),
@@ -430,7 +426,7 @@ class DesignDataRepository:
                 payload = record.payload
                 dov = DesignObjectVersion(
                     dov_id=payload["dov_id"], dot_name=payload["dot"],
-                    data=adopt_payload(payload["data"]),
+                    data=payload["data"],
                     created_by=payload["created_by"],
                     created_at=payload["created_at"],
                     parents=tuple(payload["parents"]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.repository.versions import DesignObjectVersion, adopt_payload
+from repro.repository.versions import DesignObjectVersion
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.util.errors import StorageError, UnknownObjectError
 
@@ -189,7 +189,7 @@ class VersionStore:
             dov = DesignObjectVersion(
                 dov_id=payload["dov_id"],
                 dot_name=payload["dot"],
-                data=adopt_payload(payload["data"]),
+                data=payload["data"],
                 created_by=payload["created_by"],
                 created_at=payload["created_at"],
                 parents=tuple(payload["parents"]),

@@ -12,7 +12,6 @@ several inputs).
 from __future__ import annotations
 
 import copy
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -23,41 +22,9 @@ _SCALAR_BYTES = 8
 #: modelled per-entry container overhead (keys, length words, pointers)
 _CONTAINER_OVERHEAD = 8
 
-#: module switch of the frozen-payload fast path.  On (the default),
-#: every :class:`DesignObjectVersion` deep-freezes its payload once at
-#: construction and stamps the cached modelled size; off reproduces
-#: the pre-freeze behaviour exactly (mutable payload dict, deepcopy on
-#: :meth:`DesignObjectVersion.copy_data`, a full recursive walk on
-#: every ``payload_size`` access) — the in-harness baseline of
-#: ``benchmarks/perf`` and the reference side of the determinism guard.
-_FAST_PATH = True
-
 #: count of *actual* recursive sizing/freezing walks (cache hits do not
 #: count) — the counting hook of the one-walk-per-DOV regression tests.
 _WALKS = {"sizeof": 0, "freeze": 0}
-
-
-def payload_fast_path_enabled() -> bool:
-    """True while the frozen-payload fast path is switched on."""
-    return _FAST_PATH
-
-
-def set_payload_fast_path(enabled: bool) -> bool:
-    """Switch the fast path on/off; returns the previous setting."""
-    global _FAST_PATH
-    previous = _FAST_PATH
-    _FAST_PATH = bool(enabled)
-    return previous
-
-
-@contextmanager
-def payload_fast_path(enabled: bool = True):
-    """Scoped fast-path switch (the benchmark/guard compat flag)."""
-    previous = set_payload_fast_path(enabled)
-    try:
-        yield
-    finally:
-        set_payload_fast_path(previous)
 
 
 def payload_walks() -> dict[str, int]:
@@ -175,17 +142,6 @@ _FROZEN_CONTAINERS = (FrozenDict, FrozenList)
 def is_frozen_payload(value: Any) -> bool:
     """True when *value* is a frozen payload container (zero-copy safe)."""
     return type(value) in _FROZEN_CONTAINERS
-
-
-def adopt_payload(data: Any) -> Any:
-    """Adopt a frozen payload as-is; shallow-copy a mutable one.
-
-    The single adopt-or-copy rule of every DOV (re)construction site —
-    staging a client-frozen checkin, WAL redo, checkpoint restore: a
-    frozen payload is shared (byte-identical and immutable, so the
-    copy would buy nothing), anything else keeps the defensive copy.
-    """
-    return data if is_frozen_payload(data) else dict(data)
 
 
 def _frozen_size_of(value: Any) -> int | None:
@@ -405,25 +361,19 @@ class DesignObjectVersion:
         # the modelled size.  Already-frozen data (group checkins, WAL
         # redo, dataclasses.replace) is adopted without any walk.
         data = self.data
-        if type(data) is FrozenDict:
-            object.__setattr__(self, "_payload_size", data._frozen_size)
-        elif _FAST_PATH:
-            frozen = freeze_payload(data)
-            object.__setattr__(self, "data", frozen)
-            object.__setattr__(self, "_payload_size",
-                               frozen._frozen_size)
+        if type(data) is not FrozenDict:
+            data = freeze_payload(data)
+            object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_payload_size", data._frozen_size)
 
     def copy_data(self) -> dict[str, Any]:
         """The payload as a private-by-construction mapping.
 
-        A frozen payload is returned as-is — it cannot be mutated
-        through any reference, so sharing it *is* handing out a
-        private copy, without the recursive deepcopy walk.  Unfrozen
-        payloads (fast path off) keep the seed's deep copy.
+        The payload is frozen — it cannot be mutated through any
+        reference — so sharing it *is* handing out a private copy,
+        without a recursive deepcopy walk.
         """
-        if is_frozen_payload(self.data):
-            return self.data
-        return copy.deepcopy(self.data)
+        return self.data
 
     @property
     def payload_size(self) -> int:
@@ -435,13 +385,7 @@ class DesignObjectVersion:
         at construction computed it, so this is an O(1) lookup — no
         recursive re-walk per access.
         """
-        size = self.__dict__.get("_payload_size")
-        if size is not None:
-            return size
-        size = payload_sizeof(self.data)
-        if _FAST_PATH:
-            object.__setattr__(self, "_payload_size", size)
-        return size
+        return self._payload_size
 
     @property
     def stamp(self) -> tuple[str, float]:

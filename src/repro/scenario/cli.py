@@ -8,16 +8,17 @@ The command surface of the scenario DSL and the trace oracle:
 * ``scenario validate <file.toml>`` — schema-check only;
 * ``scenario list`` / ``scenario dump <name>`` — the shipped canonical
   library (``dump`` prints the exact TOML the repo ships);
-* ``trace record <file.toml> [-o out.jsonl] [--compat] [--shards N]
+* ``trace record <file.toml> [-o out.jsonl] [--shards N]
   [--parallel]`` — run a scenario and persist its full kernel event
   stream (``.jsonl.gz`` outputs are gzipped deterministically);
-* ``trace replay <trace.jsonl> [--compat] [--shards N] [--parallel]``
-  — re-run the embedded scenario against the selected build and diff
-  the streams (exit 1 on divergence: the CI regression gate); on
-  success the verdict names the exact build-flag/shard combination
-  that was replayed;
+* ``trace replay <trace.jsonl> [--shards N] [--parallel]`` — re-run
+  the embedded scenario and diff the streams (exit 1 on divergence:
+  the CI regression gate); on success the verdict names the shard
+  combination that was replayed;
 * ``trace diff <a.jsonl> <b.jsonl>`` — structural diff of two trace
   files with a first-divergence report.
+
+``-h`` / ``--help`` anywhere prints the subcommand's usage and exits 0.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.scenario.schema import (
 )
 from repro.util.errors import KernelError
 from repro.sim.trace import (
-    BuildFlags,
     TraceError,
     build_description,
     diff_traces,
@@ -56,6 +56,11 @@ def _print_report(name: str, report: Any) -> None:
             print(f"  {spec.name} = {value}")
     else:
         print(f"  {report}")
+
+
+def _wants_help(args: list[str]) -> bool:
+    """True when *args* ask for the usage text (``-h`` / ``--help``)."""
+    return "-h" in args or "--help" in args
 
 
 def _pop_flag(args: list[str], flag: str) -> bool:
@@ -96,6 +101,9 @@ def scenario_main(argv: list[str]) -> int:
     usage = ("usage: python -m repro scenario "
              "{run <file.toml> [--shards N] [--parallel] | "
              "validate <file.toml> | list | dump <name>}")
+    if _wants_help(argv):
+        print(usage)
+        return 0
     try:
         if not argv:
             print(usage)
@@ -154,17 +162,19 @@ def scenario_main(argv: list[str]) -> int:
 def trace_main(argv: list[str]) -> int:
     """Entry point of the ``trace`` subcommand."""
     usage = ("usage: python -m repro trace "
-             "{record <file.toml> [-o out.jsonl[.gz]] [--compat] "
+             "{record <file.toml> [-o out.jsonl[.gz]] "
              "[--shards N] [--parallel] | replay <trace.jsonl> "
-             "[--compat] [--shards N] [--parallel] | "
+             "[--shards N] [--parallel] | "
              "diff <a.jsonl> <b.jsonl>}")
+    if _wants_help(argv):
+        print(usage)
+        return 0
     try:
         if not argv:
             print(usage)
             return 2
         command, rest = argv[0], list(argv[1:])
         if command == "record":
-            compat = _pop_flag(rest, "--compat")
             parallel = _pop_flag(rest, "--parallel") or None
             shards = _parse_shards(rest)
             out = _pop_option(rest, "-o") or _pop_option(rest, "--out")
@@ -172,8 +182,7 @@ def trace_main(argv: list[str]) -> int:
                 print(usage)
                 return 2
             config = load_scenario(rest[0])
-            flags = BuildFlags.compat() if compat else BuildFlags()
-            trace = record_scenario(config, flags=flags, shards=shards,
+            trace = record_scenario(config, shards=shards,
                                     parallel=parallel)
             if out is None:
                 out = f"{config.name}.trace.jsonl"
@@ -182,24 +191,20 @@ def trace_main(argv: list[str]) -> int:
                   f"(final t={trace.final_time}) -> {out}")
             return 0
         if command == "replay":
-            compat = _pop_flag(rest, "--compat")
             parallel = _pop_flag(rest, "--parallel")
             shards = _parse_shards(rest)
             if len(rest) != 1:
                 print(usage)
                 return 2
             trace = load_trace(rest[0])
-            flags = BuildFlags.compat() if compat \
-                else BuildFlags.from_dict(trace.meta.get("flags", {}))
             if shards is None:
                 shards = int(trace.meta.get("shards", 1))
             if not parallel:
                 parallel = bool(trace.meta.get("parallel", False))
-            diff = replay_trace(trace, flags=flags, shards=shards,
-                                parallel=parallel)
+            diff = replay_trace(trace, shards=shards, parallel=parallel)
             print(diff.render())
             if diff.identical:
-                print(f"SUCCESS [{build_description(flags, shards, parallel)}]")
+                print(f"SUCCESS [{build_description(shards, parallel)}]")
             return 0 if diff.identical else 1
         if command == "diff":
             if len(rest) != 2:

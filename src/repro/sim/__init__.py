@@ -11,7 +11,7 @@ from repro.sim.parallel import (
     run_program_sequential,
     run_scenario_replicated,
 )
-from repro.sim.scheduler import EventScheduler, kernel_fast_path
+from repro.sim.scheduler import EventScheduler
 from repro.sim.shard import ShardedKernel
 from repro.sim.wheel import HierarchicalTimerWheel
 
@@ -30,7 +30,6 @@ __all__ = [
     "SimClock",
     "Timer",
     "build_saturation_storm",
-    "kernel_fast_path",
     "run_program_parallel",
     "run_program_sequential",
     "run_scenario_replicated",

@@ -142,7 +142,7 @@ class Kernel(EventScheduler):
 
     def __init__(self, clock: SimClock | None = None,
                  trace_events: bool = True,
-                 wheel: bool | None = None,
+                 wheel: bool = True,
                  wheel_tick: float | None = None) -> None:
         super().__init__(clock, wheel=wheel, wheel_tick=wheel_tick)
         #: True while the kernel is inside :meth:`step` / ``run``

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from heapq import merge as heap_merge
 from random import Random
-from time import perf_counter, process_time
+from time import monotonic, perf_counter, process_time
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.clock import SimClock
@@ -70,11 +70,18 @@ from repro.util.errors import KernelError
 
 if TYPE_CHECKING:  # lazy at runtime: sim must not import scenario/
     from repro.scenario.schema import ScenarioConfig  # pragma: no cover
-    from repro.sim.trace import BuildFlags  # pragma: no cover
 
 #: hard cap on coordinator rounds — a protocol bug (a floor that never
 #: advances) fails loudly instead of deadlocking the run
 MAX_ROUNDS = 100_000
+
+#: seconds between liveness checks while the coordinator waits on a
+#: worker's reply — how fast a dead worker is noticed
+POLL_INTERVAL = 0.05
+
+#: longest the coordinator waits for any single reply before it gives
+#: up on a live but silent worker
+REPLY_TIMEOUT = 300.0
 
 #: a program event: ``(time, priority, seq, label, work, sends)`` where
 #: ``sends`` is a tuple of ``(dst_shard, ProgramEvent)`` — pure nested
@@ -454,6 +461,33 @@ def _program_worker(conn, shard: int, events: tuple, lookahead: float,
 # the coordinator
 # ---------------------------------------------------------------------------
 
+def _receive(proc, conn, timeout: float = REPLY_TIMEOUT) -> Any:
+    """Wait for one reply from worker *proc*, never unboundedly.
+
+    Polls *conn* every :data:`POLL_INTERVAL` seconds and checks the
+    worker's exit code in between, so a worker that dies (during spawn
+    bootstrap or mid-round) raises :class:`KernelError` naming it and
+    its exit code instead of hanging the coordinator; a worker that
+    stays alive but silent for *timeout* seconds raises too.
+    """
+    deadline = monotonic() + timeout
+    while not conn.poll(POLL_INTERVAL):
+        if proc.exitcode is not None:
+            raise KernelError(
+                f"worker {proc.name} exited with code {proc.exitcode} "
+                "before replying")
+        if monotonic() >= deadline:
+            raise KernelError(
+                f"worker {proc.name} sent no reply within {timeout}s")
+    try:
+        return conn.recv()
+    except EOFError:
+        proc.join(timeout=POLL_INTERVAL * 20)
+        raise KernelError(
+            f"worker {proc.name} closed its pipe (exit code "
+            f"{proc.exitcode}) before replying") from None
+
+
 def run_program_parallel(storm: ShardProgram, *,
                          speculate: bool = True,
                          trace_events: bool = True
@@ -502,7 +536,7 @@ def run_program_parallel(storm: ShardProgram, *,
                 conn.send(("grant", horizon, inbox[shard]))
                 inbox[shard] = []
             for shard, (proc, conn) in enumerate(workers):
-                reply = conn.recv()
+                reply = _receive(proc, conn)
                 if reply[0] == "error":
                     raise KernelError(f"worker failed: {reply[1]}")
                 tag, outbox, floor_time, executed = reply
@@ -514,7 +548,7 @@ def run_program_parallel(storm: ShardProgram, *,
         results = []
         for proc, conn in workers:
             conn.send(("finish",))
-            reply = conn.recv()
+            reply = _receive(proc, conn)
             if reply[0] == "error":
                 raise KernelError(f"worker failed: {reply[1]}")
             results.append(reply[1])
@@ -570,26 +604,23 @@ def _plain(report: Any) -> Any:
     return report
 
 
-def _replicated_worker(conn, tables: dict, flag_values: dict,
-                       shards: int, owned: tuple[int, ...]) -> None:
+def _replicated_worker(conn, tables: dict, shards: int,
+                       owned: tuple[int, ...]) -> None:
     """Spawn entry point: rebuild the scenario world from its tables,
     run it whole, return only the owned shards' trace slice."""
     try:
         from repro.scenario.compiler import compile_scenario
         from repro.scenario.schema import validate_scenario
-        from repro.sim.trace import BuildFlags
 
         config = validate_scenario(tables)
-        flags = BuildFlags.from_dict(flag_values)
         captured: list[Any] = []
 
         def hook(kernel: Any) -> None:
             kernel.shard_log = []
             captured.append(kernel)
 
-        with flags.apply():
-            report = compile_scenario(config).run(shards=shards,
-                                                  on_kernel=hook)
+        report = compile_scenario(config).run(shards=shards,
+                                              on_kernel=hook)
         kernel = captured[-1]
         shard_log = kernel.shard_log or []
         events = [list(line) for line, shard
@@ -609,7 +640,6 @@ def _replicated_worker(conn, tables: dict, flag_values: dict,
 
 
 def run_scenario_replicated(config: "ScenarioConfig",
-                            flags: "BuildFlags | None" = None,
                             shards: int | None = None,
                             workers: int | None = None
                             ) -> ProgramRunResult:
@@ -620,9 +650,6 @@ def run_scenario_replicated(config: "ScenarioConfig",
     the full stream and asserts all replicas agreed on event count,
     final time and report — the cross-process determinism gate.
     """
-    from repro.sim.trace import BuildFlags
-
-    flags = flags or BuildFlags()
     if shards is None:
         shards = config.shards
     if shards < 2:
@@ -631,7 +658,6 @@ def run_scenario_replicated(config: "ScenarioConfig",
             f"(got {shards})")
     workers = min(workers or shards, shards)
     tables = config.as_tables()
-    flag_values = flags.as_dict()
     owned_slices = [tuple(range(w, shards, workers))
                     for w in range(workers)]
 
@@ -643,14 +669,14 @@ def run_scenario_replicated(config: "ScenarioConfig",
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_replicated_worker,
-                args=(child, tables, flag_values, shards, owned),
+                args=(child, tables, shards, owned),
                 name=f"repro-replica-{owned[0]}")
             proc.start()
             child.close()
             procs.append((proc, parent))
         replies = []
         for proc, conn in procs:
-            tag, payload = conn.recv()
+            tag, payload = _receive(proc, conn)
             if tag != "ok":
                 raise KernelError(f"replica worker failed: {payload}")
             replies.append(payload)

@@ -25,16 +25,15 @@ Internals (the PR 7 raw-speed rebuild — order semantics unchanged):
   HierarchicalTimerWheel` instead of the heap — O(1) insert, O(1)
   lazy cancel, one bookkeeping entry per time *bucket*.  The wheel
   drains into the heap strictly before any entry it could precede is
-  popped, so dispatch order is byte-identical to the heap-only build
-  (``wheel=False`` keeps that build available as the determinism
-  baseline).
+  popped, so dispatch order is byte-identical to the heap-only
+  configuration (``wheel=False``), which the sharded and parallel
+  kernels use.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.sim.clock import SimClock
 from repro.sim.wheel import NO_EVENTS, HierarchicalTimerWheel
@@ -42,29 +41,6 @@ from repro.sim.wheel import NO_EVENTS, HierarchicalTimerWheel
 #: events at least this many time units ahead are filed in the wheel;
 #: nearer ones go straight to the heap (they would drain immediately)
 WHEEL_NEAR_SPAN = 1.0
-
-#: module switch flipped by :func:`kernel_fast_path` — new schedulers
-#: built while False use the seed's heap-only, no-slab configuration
-_FAST_PATH = True
-
-
-@contextmanager
-def kernel_fast_path(enabled: bool) -> Iterator[None]:
-    """Context manager: build schedulers with (or without) the PR 7
-    fast paths (timer wheel + slab recycling).
-
-    The compat build is the in-harness baseline of the perf suite and
-    the reference side of the determinism guard — event order is
-    identical either way, only the constants differ.
-    """
-    global _FAST_PATH
-    previous = _FAST_PATH
-    _FAST_PATH = enabled
-    try:
-        yield
-    finally:
-        _FAST_PATH = previous
-
 
 class _ScheduledEvent:
     """One pending callback (a slab-recyclable ``__slots__`` record)."""
@@ -101,7 +77,7 @@ class EventScheduler:
     """Priority-queue discrete-event loop driving a :class:`SimClock`."""
 
     def __init__(self, clock: SimClock | None = None,
-                 wheel: bool | None = None,
+                 wheel: bool = True,
                  wheel_tick: float | None = None) -> None:
         self.clock = clock or SimClock()
         #: near heap of ``(time, priority, seq, event)`` tuples
@@ -114,15 +90,13 @@ class EventScheduler:
         #: heads and takes the smaller, which preserves the exact
         #: ``(time, priority, seq)`` order
         self._run: list[tuple] = []
-        if wheel is None:
-            wheel = _FAST_PATH
-        #: far-future bucket store (None = heap-only compat build)
+        #: far-future bucket store (None = heap-only configuration)
         self._wheel: HierarchicalTimerWheel | None = \
             HierarchicalTimerWheel(tick=wheel_tick) \
             if wheel and wheel_tick is not None \
             else (HierarchicalTimerWheel() if wheel else None)
         #: slab freelist of executed, unpinned events
-        self._slab: list[_ScheduledEvent] = [] if _FAST_PATH else None
+        self._slab: list[_ScheduledEvent] = []
         #: True when :meth:`_file` is not overridden — :meth:`defer`
         #: then routes inline instead of paying the method call
         self._inline_file = type(self)._file is EventScheduler._file
@@ -251,7 +225,7 @@ class EventScheduler:
                     run.pop()
                     event.done = True
                     self._stale -= 1
-                    if slab is not None and not event.pinned:
+                    if not event.pinned:
                         event.action = None
                         slab.append(event)
                     continue
@@ -278,7 +252,7 @@ class EventScheduler:
                 heappop(queue)
                 event.done = True
                 self._stale -= 1
-                if slab is not None and not event.pinned:
+                if not event.pinned:
                     event.action = None
                     slab.append(event)
                 continue
@@ -309,10 +283,9 @@ class EventScheduler:
         return True
 
     def _recycle(self, event: _ScheduledEvent) -> None:
-        slab = self._slab
-        if slab is not None and not event.pinned:
+        if not event.pinned:
             event.action = None  # drop the closure; the record lives on
-            slab.append(event)
+            self._slab.append(event)
 
     def _execute(self, event: _ScheduledEvent) -> None:
         """Run one due event (subclasses hook in tracing here)."""
@@ -341,7 +314,7 @@ class EventScheduler:
         # the wheel cannot interrupt a batch when every insert made
         # *during* it lands in a bucket past the run's upper bound —
         # true whenever the near span covers two level-0 ticks
-        batch_ok = direct and slab is not None and (
+        batch_ok = direct and (
             wheel is None or wheel.tick * 2.0 <= WHEEL_NEAR_SPAN)
         drained = False
         while True:
@@ -409,7 +382,7 @@ class EventScheduler:
                     heappop(queue)
                 event.done = True
                 self._stale -= 1
-                if slab is not None and not event.pinned:
+                if not event.pinned:
                     event.action = None
                     slab.append(event)
                 continue
@@ -432,7 +405,7 @@ class EventScheduler:
                 event.action()
             else:
                 execute(event)
-            if slab is not None and not event.pinned:
+            if not event.pinned:
                 event.action = None
                 slab.append(event)
         self._executed += ran

@@ -217,7 +217,7 @@ class ShardedKernel(Kernel):
                 if event.cancelled:
                     heappop(stream)
                     event.done = True
-                    if slab is not None and not event.pinned:
+                    if not event.pinned:
                         event.action = None
                         slab.append(event)
                     continue
@@ -290,7 +290,7 @@ class ShardedKernel(Kernel):
                 ran += 1
                 self._current_shard = shard
                 self._execute(event)
-                if slab is not None and not event.pinned:
+                if not event.pinned:
                     event.action = None
                     slab.append(event)
         finally:

@@ -17,11 +17,8 @@ stream into a first-class artifact:
   zeroed mtime, so compressed goldens stay byte-deterministic too),
   and loading auto-detects compression from the magic bytes;
 * :func:`replay_trace` re-runs the scenario embedded in a trace's
-  header under any build/flag combination (:class:`BuildFlags`
-  composes the ``kernel_fast_path`` / ``payload_fast_path`` /
-  ``lease_fast_path`` compat switches, and the shard count and the
-  multi-process ``parallel`` mode can be overridden) and diffs the
-  fresh stream against the recorded one;
+  header (the shard count and the multi-process ``parallel`` mode can
+  be overridden) and diffs the fresh stream against the recorded one;
 * :func:`diff_traces` reports the **first divergence** structurally —
   index, expected vs actual event, and the common context leading in —
   so a failed replay names the exact event where a refactor changed
@@ -36,10 +33,9 @@ from __future__ import annotations
 
 import gzip
 import json
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # lazy at runtime: sim must not import the scenario/
     from repro.scenario.schema import ScenarioConfig  # pragma: no cover
@@ -58,58 +54,6 @@ class TraceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# build flags: the compat-switch surface a replay can target
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BuildFlags:
-    """One build/flag combination a trace can be replayed against.
-
-    Each field maps to one of the compat switches the perf PRs left
-    behind; ``True`` is the current fast-path build, ``False`` the
-    seed-equivalent baseline.  The determinism contract says the event
-    stream is byte-identical under **every** combination.
-    """
-
-    kernel_fast_path: bool = True   # timer wheel + slab recycling
-    payload_fast_path: bool = True  # frozen zero-copy payloads
-    lease_fast_path: bool = True    # bucketed TTL-lease expiry
-
-    @classmethod
-    def compat(cls) -> "BuildFlags":
-        """The all-baseline build (every fast path off)."""
-        return cls(kernel_fast_path=False, payload_fast_path=False,
-                   lease_fast_path=False)
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "BuildFlags":
-        known = {f: bool(raw.get(f, True))
-                 for f in ("kernel_fast_path", "payload_fast_path",
-                           "lease_fast_path")}
-        return cls(**known)
-
-    def as_dict(self) -> dict[str, bool]:
-        return {"kernel_fast_path": self.kernel_fast_path,
-                "payload_fast_path": self.payload_fast_path,
-                "lease_fast_path": self.lease_fast_path}
-
-    @contextmanager
-    def apply(self) -> Iterator[None]:
-        """Scoped switch to this build combination (nests the three
-        compat context managers; imports are lazy to keep ``sim`` free
-        of upward package dependencies)."""
-        from repro.repository.versions import payload_fast_path
-        from repro.sim.scheduler import kernel_fast_path
-        from repro.txn.leases import lease_fast_path
-
-        with ExitStack() as stack:
-            stack.enter_context(kernel_fast_path(self.kernel_fast_path))
-            stack.enter_context(payload_fast_path(self.payload_fast_path))
-            stack.enter_context(lease_fast_path(self.lease_fast_path))
-            yield
-
-
-# ---------------------------------------------------------------------------
 # the trace artifact
 # ---------------------------------------------------------------------------
 
@@ -117,8 +61,8 @@ class BuildFlags:
 class KernelTrace:
     """A recorded kernel event stream plus its provenance header."""
 
-    #: header: format tag, embedded scenario definition, build flags,
-    #: shard count, event count, final simulated time
+    #: header: format tag, embedded scenario definition, shard count,
+    #: event count, final simulated time
     meta: dict[str, Any]
     #: the full ordered ``(time, priority, seq, label)`` stream
     events: list[TraceEvent]
@@ -141,7 +85,6 @@ class KernelTrace:
 
 def capture_trace(kernel: "Kernel",
                   scenario: dict[str, Any] | None = None,
-                  flags: BuildFlags | None = None,
                   shards: int = 1,
                   parallel: bool = False) -> KernelTrace:
     """Snapshot *kernel*'s executed event stream as a trace artifact."""
@@ -152,7 +95,6 @@ def capture_trace(kernel: "Kernel",
     meta = {
         "format": TRACE_FORMAT,
         "scenario": scenario or {},
-        "flags": (flags or BuildFlags()).as_dict(),
         "shards": shards,
         "parallel": parallel,
         "events": len(events),
@@ -328,23 +270,18 @@ def diff_traces(recorded: KernelTrace, replayed: KernelTrace,
 # record / replay orchestration (lazy scenario imports)
 # ---------------------------------------------------------------------------
 
-def build_description(flags: BuildFlags, shards: int,
-                      parallel: bool = False) -> str:
-    """One-line human summary of a build/shard combination — what the
-    CLI prints next to a replay verdict."""
-    on = [name for name, value in flags.as_dict().items() if value]
-    flag_part = "+".join(on) if on else "compat (all fast paths off)"
-    shard_part = f"shards={shards}"
+def build_description(shards: int, parallel: bool = False) -> str:
+    """One-line human summary of a shard combination — what the CLI
+    prints next to a replay verdict."""
     if parallel:
-        shard_part += " parallel (multi-process)"
-    return f"build: {flag_part}; {shard_part}"
+        return f"shards={shards} parallel (multi-process)"
+    return f"shards={shards}"
 
 
 def record_scenario(config: "ScenarioConfig",
-                    flags: BuildFlags | None = None,
                     shards: int | None = None,
                     parallel: bool | None = None) -> KernelTrace:
-    """Run *config* under *flags* and capture its full event stream.
+    """Run *config* and capture its full event stream.
 
     With ``parallel=True`` the scenario executes on spawned worker
     processes (:func:`repro.sim.parallel.run_scenario_replicated`) and
@@ -353,18 +290,15 @@ def record_scenario(config: "ScenarioConfig",
     """
     from repro.scenario import compile_scenario
 
-    flags = flags or BuildFlags()
     if parallel is None:
         parallel = config.parallel
     if parallel:
         from repro.sim.parallel import run_scenario_replicated
 
-        result = run_scenario_replicated(config, flags=flags,
-                                         shards=shards)
+        result = run_scenario_replicated(config, shards=shards)
         meta = {
             "format": TRACE_FORMAT,
             "scenario": config.as_tables(),
-            "flags": flags.as_dict(),
             "shards": result.stats["shards"],
             "parallel": True,
             "events": len(result.events),
@@ -374,28 +308,24 @@ def record_scenario(config: "ScenarioConfig",
                            events=[tuple(e) for e in result.events])
     compiled = compile_scenario(config)
     captured: list[Any] = []
-    with flags.apply():
-        compiled.run(shards=shards, on_kernel=captured.append)
+    compiled.run(shards=shards, on_kernel=captured.append)
     if not captured:
         raise TraceError(
             f"scenario kind {config.kind!r} exposed no kernel to trace")
     kernel = captured[-1]
     return capture_trace(kernel, scenario=config.as_tables(),
-                         flags=flags,
                          shards=shards or config.shards)
 
 
 def replay_trace(trace: KernelTrace,
-                 flags: BuildFlags | None = None,
                  shards: int | None = None,
                  parallel: bool | None = None,
                  context: int = 3) -> TraceDiff:
     """Re-run the scenario embedded in *trace* and diff the streams.
 
-    *flags* / *shards* / *parallel* select the build combination to
-    replay against (default: the combination the trace was recorded
-    under).  Returns the structural diff; ``diff.identical`` is the
-    regression gate.
+    *shards* / *parallel* select the combination to replay against
+    (default: the combination the trace was recorded under).  Returns
+    the structural diff; ``diff.identical`` is the regression gate.
     """
     from repro.scenario.schema import validate_scenario
 
@@ -403,12 +333,9 @@ def replay_trace(trace: KernelTrace,
         raise TraceError("trace has no embedded scenario definition — "
                          "it cannot be replayed")
     config = validate_scenario(trace.scenario)
-    if flags is None:
-        flags = BuildFlags.from_dict(trace.meta.get("flags", {}))
     if shards is None:
         shards = int(trace.meta.get("shards", config.shards))
     if parallel is None:
         parallel = bool(trace.meta.get("parallel", False))
-    fresh = record_scenario(config, flags=flags, shards=shards,
-                            parallel=parallel)
+    fresh = record_scenario(config, shards=shards, parallel=parallel)
     return diff_traces(trace, fresh, context=context)

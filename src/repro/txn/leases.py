@@ -32,40 +32,18 @@ in-flight expiry safe.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import ceil
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from repro.sim.clock import SimClock
-from repro.sim.kernel import Timer
 
 #: slack when comparing expiry instants against the clock
 _EPS = 1e-12
 
 #: reusable no-op scope for tables without a pinned owner
 _NULL_SCOPE = nullcontext()
-
-#: module switch: True = bucketed expiry (one kernel event per distinct
-#: expiry instant), False = the pre-wheel regime of one re-armable
-#: :class:`~repro.sim.kernel.Timer` per lease.  The legacy regime is
-#: kept as the measured baseline of the ``kernel_timer_churn`` perf
-#: contrast — captured per :class:`LeaseTable` at construction.
-_FAST_PATH = True
-
-
-@contextmanager
-def lease_fast_path(enabled: bool = True) -> Iterator[None]:
-    """Context manager selecting the lease-expiry strategy for tables
-    constructed inside the block (benchmark baselines)."""
-    global _FAST_PATH
-    previous = _FAST_PATH
-    _FAST_PATH = enabled
-    try:
-        yield
-    finally:
-        _FAST_PATH = previous
-
 
 @dataclass
 class Lease:
@@ -127,12 +105,6 @@ class LeaseTable:
         #: generation stamp: a server crash (clear) bumps it, so
         #: already-scheduled bucket events of the dead table are inert
         self._epoch = 0
-        #: expiry strategy captured at construction (see
-        #: :func:`lease_fast_path`); False = one Timer per lease
-        self._bucketed = _FAST_PATH
-        #: legacy regime only: one re-armable expiry timer per
-        #: (workstation, dov_id)
-        self._timers: dict[tuple[str, str], Timer] = {}
 
     # -- grants -------------------------------------------------------------
 
@@ -171,9 +143,6 @@ class LeaseTable:
         occupies is a no-op (a refresh without a TTL change).
         """
         if lease.expires_at is None:
-            return
-        if not self._bucketed:
-            self._arm(lease)
             return
         instant = self._quantize(lease.expires_at)
         if lease.bucket == instant:
@@ -220,39 +189,6 @@ class LeaseTable:
                 self._file(lease)  # renewed: check again later
             else:
                 self._expire(lease)
-
-    def _arm(self, lease: Lease) -> None:
-        """Legacy (pre-wheel) expiry: one re-armable Timer per lease.
-
-        Kept as the measured baseline of the ``kernel_timer_churn``
-        benchmark — every live lease is one heap entry, every renewal
-        eventually costs a no-op check event.
-        """
-        key = (lease.workstation, lease.dov_id)
-        timer = self._timers.get(key)
-        if timer is None:
-            kernel = self._kernel()
-            if kernel is None:
-                return  # no kernel: expiry via expire_due() sweeps
-            timer = Timer(kernel, lambda: self._on_timer(key),
-                          label=f"lease-expiry:{lease.dov_id}"
-                                f"@{lease.workstation}")
-            self._timers[key] = timer
-        kernel = self._kernel()
-        with kernel.filing_on(kernel.shard_of(self.owner)) \
-                if self.owner is not None and kernel is not None \
-                else _NULL_SCOPE:
-            timer.arm(lease.expires_at)
-
-    def _on_timer(self, key: tuple[str, str]) -> None:
-        workstation, dov_id = key
-        lease = self._holders.get(dov_id, {}).get(workstation)
-        if lease is None or lease.expires_at is None:
-            return  # recalled/released meanwhile, or TTL switched off
-        if lease.expires_at > self.clock.now + _EPS:
-            self._arm(lease)  # renewed at the timer instant itself
-            return
-        self._expire(lease)
 
     def _expire(self, lease: Lease) -> None:
         self.release(lease.workstation, lease.dov_id)
@@ -356,9 +292,6 @@ class LeaseTable:
         self._holders.clear()
         self._buckets.clear()
         self._epoch += 1
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
 
     # -- dict-of-sets compatibility ----------------------------------------
 
@@ -381,5 +314,4 @@ class LeaseTable:
             "renewals": self.renewals,
             "expirations": self.expirations,
             "expiry_buckets": len(self._buckets),
-            "strategy": "bucketed" if self._bucketed else "timer",
         }

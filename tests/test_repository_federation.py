@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.repository.federation import FederatedRepository
-from repro.repository.placement import (
-    PlacementIndex,
-    federation_fast_path,
+from repro.bench.reference import (
+    MemberScanFederation,
+    scan_staged_home,
+    staged_home_mismatches,
 )
+from repro.bench.scenarios import federated_commit_scenario
+from repro.repository.federation import FederatedRepository
+from repro.repository.placement import PlacementIndex
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
@@ -286,8 +289,12 @@ class TestHashPlacement:
         assert fed.placement_of("da-pinned") == "site-2"
 
 
-class TestFastPathCompat:
-    def test_staged_resolution_identical_on_both_paths(self, federation):
+class TestMemberTruth:
+    """The placement index is a cache of member truth: every staged
+    id's indexed home is the member whose store holds it, found by the
+    reference member scan."""
+
+    def test_staged_resolution_matches_member_scan(self, federation):
         federation.assign("da-a", "site-a")
         federation.assign("da-b", "site-b")
         federation.create_graph("da-a")
@@ -298,19 +305,18 @@ class TestFastPathCompat:
             federation.stage_checkin("da-b", "Cell", {"area": 2.0},
                                      (), 0.0).dov_id,
         ]
-        fast = {i: federation._staged_home_of(i)
-                for i in staged + ["dov-404"]}
-        with federation_fast_path(False):
-            compat = {i: federation._staged_home_of(i)
-                      for i in staged + ["dov-404"]}
-        assert fast == compat
-        assert fast[staged[0]] == "site-a"
-        assert fast["dov-404"] is None
+        members = federation.members()
+        for dov_id in staged + ["dov-404"]:
+            assert federation._staged_home_of(dov_id) \
+                == scan_staged_home(members, dov_id)
+        assert federation._staged_home_of(staged[0]) == "site-a"
+        assert federation._staged_home_of("dov-404") is None
+        assert staged_home_mismatches(federation) == []
 
-    def test_commit_group_identical_on_compat_path(self):
-        def run():
+    def test_commit_group_matches_member_scan(self):
+        def run(kind):
             ids = IdGenerator()
-            fed = FederatedRepository({
+            fed = kind({
                 "site-a": DesignDataRepository(ids),
                 "site-b": DesignDataRepository(ids)})
             fed.register_dot(make_dot())
@@ -327,20 +333,41 @@ class TestFastPathCompat:
             dovs = fed.commit_group(staged)
             return [d.dov_id for d in dovs], fed.directory_snapshot()
 
-        fast_result = run()
-        with federation_fast_path(False):
-            compat_result = run()
-        assert fast_result == compat_result
+        assert run(FederatedRepository) == run(MemberScanFederation)
 
-    def test_abort_checkin_identical_on_compat_path(self, federation):
+    def test_abort_keeps_index_equal_to_member_truth(self, federation):
         federation.create_graph("da-1")
-        with federation_fast_path(False):
-            staged = federation.stage_checkin(
-                "da-1", "Cell", {"area": 1.0}, (), 0.0)
-            assert federation.abort_checkin(staged.dov_id) is True
-            assert federation.abort_checkin(staged.dov_id) is False
-        # the index was maintained even while the flag was off
+        staged = federation.stage_checkin(
+            "da-1", "Cell", {"area": 1.0}, (), 0.0)
+        assert staged_home_mismatches(federation) == []
+        assert federation.abort_checkin(staged.dov_id) is True
+        assert federation.abort_checkin(staged.dov_id) is False
         assert federation.placement_index.stats()["staged_index"] == 0
+        assert staged_home_mismatches(federation) == []
+
+    def test_mismatch_is_reported(self, federation):
+        federation.create_graph("da-1")
+        staged = federation.stage_checkin(
+            "da-1", "Cell", {"area": 1.0}, (), 0.0)
+        federation.placement_index.unstage(staged.dov_id)
+        problems = staged_home_mismatches(federation)
+        assert any(staged.dov_id in line for line in problems)
+
+    @pytest.mark.parametrize("crash",
+                             ["none", "before", "after", "coordinator"])
+    def test_t10_crash_placements_match_member_truth(self, crash):
+        audits = []
+        staged_seen = []
+
+        def audit(fed):
+            staged_seen.append(fed.placement_index.stats()
+                               ["staged_index"])
+            audits.append(staged_home_mismatches(fed))
+
+        report = federated_commit_scenario(crash=crash, audit=audit)
+        assert report.atomic_violations == 0
+        assert audits and any(staged_seen)  # the audit saw staged ids
+        assert all(problems == [] for problems in audits), audits
 
 
 class TestSingleMemberBatchFailure:
@@ -372,15 +399,15 @@ class TestSingleMemberBatchFailure:
         committed = federation.commit_group([retry.dov_id])
         assert [d.dov_id for d in committed] == [retry.dov_id]
 
-    def test_down_member_aborts_on_compat_path_too(self, federation):
+    def test_down_abort_keeps_member_truth(self, federation):
         federation.assign("da-a", "site-a")
         federation.create_graph("da-a")
         staged = federation.stage_checkin("da-a", "Cell", {"area": 1.0},
                                           (), 0.0)
         federation.member("site-a").crash()
-        with federation_fast_path(False):
-            with pytest.raises(StorageError):
-                federation.commit_group([staged.dov_id])
+        with pytest.raises(StorageError):
+            federation.commit_group([staged.dov_id])
+        assert staged_home_mismatches(federation) == []
 
 
 class TestDirectoryRecovery:

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.repository.versions import (
-    DerivationGraph,
-    DesignObjectVersion,
-    payload_fast_path,
-)
+from repro.repository.versions import DerivationGraph, DesignObjectVersion
 from repro.util.errors import UnknownObjectError
 
 
@@ -20,20 +16,21 @@ def dov(dov_id: str, parents: tuple[str, ...] = (),
 
 class TestDesignObjectVersion:
     def test_copy_data_is_private(self):
-        # fast path (default): the payload is frozen, so the "copy" is
-        # the shared immutable — no reference can corrupt the version
+        # the payload is frozen, so the "copy" is the shared
+        # immutable — no reference can corrupt the version
         version = dov("v1", nested={"a": [1]})
         copy = version.copy_data()
         with pytest.raises(TypeError):
             copy["nested"]["a"].append(2)
         assert version.data["nested"]["a"] == [1]
 
-    def test_copy_data_is_deep_without_fast_path(self):
-        with payload_fast_path(False):
-            version = dov("v1", nested={"a": [1]})
-            copy = version.copy_data()
-            copy["nested"]["a"].append(2)
-            assert version.data["nested"]["a"] == [1]
+    def test_copy_data_detached_from_plain_dict(self):
+        # the construction freeze copies the caller's plain dict deep:
+        # mutating it afterwards cannot reach the version
+        raw = {"nested": {"a": [1]}}
+        version = DesignObjectVersion("v1", "Cell", raw, "da-1", 0.0)
+        raw["nested"]["a"].append(2)
+        assert version.copy_data() == {"nested": {"a": [1]}}
 
     def test_get_with_default(self):
         version = dov("v1", area=2.0)

@@ -12,10 +12,16 @@ of the same workload.  Coverage spans the three layers of
   ``inject`` / ``filing_on``) the worker engines are built on;
 * the **replicated scenario mode**, including crash injection under
   ``shards > 1`` — crash/restart events file on the crashed node's
-  owning shard and reports match the single-shard run exactly.
+  owning shard and reports match the single-shard run exactly;
+* **coordinator liveness** — a worker that dies or falls silent is
+  reported within a bound instead of hanging the coordinator.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -24,6 +30,7 @@ from repro.scenario import canonical_scenarios, validate_scenario
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
 from repro.sim.parallel import (
+    _receive,
     build_saturation_storm,
     run_program_parallel,
     run_program_sequential,
@@ -95,6 +102,44 @@ class TestParallelProtocol:
         assert conservative.events == reference.events
         assert conservative.stats["rollbacks"] == 0
         assert conservative.stats["speculated"] == 0
+
+
+class TestWorkerLiveness:
+    """The coordinator never waits unboundedly on a worker."""
+
+    def _spawn(self, target, args: tuple, name: str):
+        ctx = multiprocessing.get_context("spawn")
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(target=target, args=args, name=name)
+        proc.start()
+        return proc, parent, child
+
+    def test_worker_dying_at_spawn_raises_within_the_bound(self):
+        proc, conn, child = self._spawn(os._exit, (3,),
+                                        "repro-dies-at-once")
+        child.close()
+        start = time.monotonic()
+        try:
+            with pytest.raises(KernelError,
+                               match=r"repro-dies-at-once.*code 3"):
+                _receive(proc, conn, timeout=60.0)
+            assert time.monotonic() - start < 20.0
+        finally:
+            proc.join(timeout=10)
+            conn.close()
+
+    def test_silent_live_worker_times_out(self):
+        # the write end stays open here, so the pipe never reaches
+        # EOF: the worker is alive and simply never answers
+        proc, conn, child = self._spawn(time.sleep, (30,), "repro-silent")
+        try:
+            with pytest.raises(KernelError, match="repro-silent.*no reply"):
+                _receive(proc, conn, timeout=0.5)
+        finally:
+            proc.terminate()
+            proc.join(timeout=10)
+            conn.close()
+            child.close()
 
 
 class TestSnapshotRestore:

@@ -3,12 +3,12 @@ tie-order — the determinism surface of the PR 7 kernel rebuild."""
 
 from __future__ import annotations
 
+from repro.bench.reference import TimerLeaseTable
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel, Timer
-from repro.sim.scheduler import EventScheduler, _ScheduledEvent, \
-    kernel_fast_path
+from repro.sim.scheduler import EventScheduler, _ScheduledEvent
 from repro.sim.wheel import HierarchicalTimerWheel
-from repro.txn.leases import LeaseTable, lease_fast_path
+from repro.txn.leases import LeaseTable
 
 
 def _entry(time: float, seq: int, priority: int = 0) -> tuple:
@@ -102,11 +102,13 @@ class TestCancellation:
 
 
 class TestRenewalRaces:
-    def _table(self, fast: bool) -> tuple[Kernel, LeaseTable, list]:
-        with kernel_fast_path(fast), lease_fast_path(fast):
-            kernel = Kernel()
-            table = LeaseTable(kernel.clock, ttl=10.0,
-                               kernel_source=lambda: kernel)
+    def _table(self, reference: bool) -> tuple[Kernel, LeaseTable, list]:
+        """Bucketed leases on the wheel kernel, or (*reference*) one
+        timer per lease on the heap-only kernel."""
+        kernel = Kernel(wheel=not reference)
+        table_type = TimerLeaseTable if reference else LeaseTable
+        table = table_type(kernel.clock, ttl=10.0,
+                           kernel_source=lambda: kernel)
         expired: list[tuple[str, str]] = []
         table.on_expire = lambda ws, dov: expired.append((ws, dov))
         return kernel, table, expired
@@ -116,20 +118,20 @@ class TestRenewalRaces:
         very same instant are safe: a renewal sequenced *before* the
         check extends the lease; one sequenced *after* is a no-op —
         it never resurrects."""
-        for fast in (True, False):
+        for reference in (False, True):
             # renewal first (scheduled before the grant's expiry event)
-            kernel, table, expired = self._table(fast)
+            kernel, table, expired = self._table(reference)
             kernel.at(10.0, lambda t=table: t.renew("ws-1", "dov-1"),
                       label="renewal")
             table.grant("ws-1", "dov-1")
             kernel.run_until(12.0)
-            assert expired == [], f"fast={fast}"
+            assert expired == [], f"reference={reference}"
             assert table.lease("ws-1", "dov-1") is not None
             kernel.run_until_quiescent()
             assert expired == [("ws-1", "dov-1")]
 
             # expiry check first, renewal second at the same instant
-            kernel, table, expired = self._table(fast)
+            kernel, table, expired = self._table(reference)
             outcome: list[bool] = []
             table.grant("ws-1", "dov-1")
             kernel.at(10.0,
@@ -137,13 +139,14 @@ class TestRenewalRaces:
                       outcome.append(t.renew("ws-1", "dov-1")),
                       label="renewal")
             kernel.run_until_quiescent()
-            assert expired == [("ws-1", "dov-1")], f"fast={fast}"
+            assert expired == [("ws-1", "dov-1")], \
+                f"reference={reference}"
             assert outcome == [False]  # lost the race: no resurrect
             assert table.lease("ws-1", "dov-1") is None
 
     def test_renewal_never_resurrects(self):
-        for fast in (True, False):
-            kernel, table, expired = self._table(fast)
+        for reference in (False, True):
+            kernel, table, expired = self._table(reference)
             table.grant("ws-1", "dov-1")
             kernel.run_until_quiescent()
             assert expired == [("ws-1", "dov-1")]
@@ -152,7 +155,7 @@ class TestRenewalRaces:
             assert table.lease("ws-1", "dov-1") is None
 
     def test_release_then_expiry_event_is_skipped(self):
-        kernel, table, expired = self._table(True)
+        kernel, table, expired = self._table(False)
         table.grant("ws-1", "dov-1")
         kernel.at(4.0, lambda: table.release("ws-1", "dov-1"),
                   label="release")
@@ -163,24 +166,22 @@ class TestRenewalRaces:
 
 class TestInsertionOrder:
     def test_zero_delay_events_preserve_insertion_order(self):
-        for fast in (True, False):
-            with kernel_fast_path(fast):
-                scheduler = EventScheduler(SimClock())
+        for wheel in (True, False):
+            scheduler = EventScheduler(SimClock(), wheel=wheel)
             seen: list[int] = []
             for index in range(8):
                 scheduler.defer(0.0, lambda i=index: seen.append(i))
             scheduler.after(0.0, lambda: seen.append(100))
             scheduler.defer(0.0, lambda: seen.append(101))
             scheduler.run()
-            assert seen == list(range(8)) + [100, 101], f"fast={fast}"
+            assert seen == list(range(8)) + [100, 101], f"wheel={wheel}"
 
     def test_traces_identical_with_and_without_wheel(self):
         """The determinism contract at unit scale: a storm of mixed
         near/far/cancelled/re-entrant events traces byte-identically
-        on the fast and the compat build."""
-        def storm(fast: bool) -> tuple:
-            with kernel_fast_path(fast):
-                kernel = Kernel(SimClock())
+        on the wheel kernel and the heap-only kernel."""
+        def storm(wheel: bool) -> tuple:
+            kernel = Kernel(SimClock(), wheel=wheel)
             handles = []
 
             def work(index: int) -> None:

@@ -81,10 +81,12 @@ def render_delta(new: dict[str, Any],
                 f"timer-churn speedup "
                 f"{acceptance.get('timer_churn_speedup')}x "
                 f">= {acceptance.get('timer_churn_min_speedup')}x")
-            gates.append(
-                f"scorecard speedup "
-                f"{acceptance.get('scorecard_speedup')}x "
-                f">= {acceptance.get('scorecard_min_speedup')}x")
+            if "scorecard_min_speedup" in acceptance:
+                # older artifacts only: the gate was retired
+                gates.append(
+                    f"scorecard speedup "
+                    f"{acceptance.get('scorecard_speedup')}x "
+                    f">= {acceptance.get('scorecard_min_speedup')}x")
             if "shard_scaling_min_speedup" in acceptance:
                 gates.append(
                     f"shard-scaling capacity "
