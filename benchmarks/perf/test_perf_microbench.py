@@ -26,6 +26,7 @@ EXPECTED = {
     "scorecard_wall_clock",
     "shard_scaling",
     "federation_scaling",
+    "cm_hierarchy_flatness",
 }
 
 

@@ -408,10 +408,12 @@ def run_t6(hierarchy_sizes: tuple[int, ...] = (5, 10, 20, 40)
                    persist_writes=system.server.stable.writes,
                    copies_saved=system.server.stable.copies_saved)
     result.notes.append(
-        "protocol log grows linearly in operations; per-op cost grows "
-        "with hierarchy size because the CM persists the full "
-        "hierarchy state after every operation; copies_saved counts "
-        "the deep copies stable storage skipped for immutable payloads")
+        "protocol log grows linearly in operations; per-op cost stays "
+        "flat in hierarchy size because the CM rewrites only the "
+        "durable records an operation touched; persist_writes counts "
+        "those per-record puts (one per DA, delegation or "
+        "relationship written); copies_saved counts the deep copies "
+        "stable storage skipped for immutable payloads")
     return result
 
 

@@ -17,6 +17,10 @@ speedup.  Three reference families exist:
   TTL lease;
 * **a member scan** for federation home resolution.
 
+Two gates read the *shape* of a scaling curve instead of a speedup:
+federation flatness (cost per batch as members grow) and CM hierarchy
+flatness (whole-run wall seconds per DA as the delegation tree widens).
+
 The report also carries a **determinism guard**: a sharded kernel must
 reproduce the single-shard traces and final states, and the
 federation's placement index must equal member truth at every T10
@@ -32,7 +36,9 @@ full-mode artifact says ``acceptance.ok: false``.
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -117,6 +123,13 @@ SHARD_SCALING_MIN_SPEEDUP = 1.5
 #: member-count term left is building the federation itself, so the
 #: curve must stay flat within noise
 FEDERATION_FLATNESS_MAX = 1.3
+
+#: acceptance ceiling (full mode only): whole-run wall seconds per DA
+#: of the concurrent delegation scenario at the largest hierarchy
+#: divided by the smallest — the CM persists one record per touched
+#: DA/relationship, so the cost of a DA must not grow with the number
+#: of its siblings (a whole-hierarchy copy per operation read 3.9-4.9x)
+CM_HIERARCHY_FLATNESS_MAX = 1.5
 
 #: frontier window of the bounded-log run: the decision log
 #: auto-checkpoints every this-many completed batches, and its record
@@ -662,6 +675,62 @@ def _measure_federation_scaling(quick: bool,
     }
 
 
+def _measure_cm_hierarchy_flatness(quick: bool,
+                                   repeats: int) -> dict[str, Any]:
+    """Whole-run wall seconds per DA as the delegation tree widens.
+
+    Each sweep point runs :func:`concurrent_delegation_scenario` end to
+    end — system set-up, the top-level plan, one sub-DA per subcell on
+    the kernel, termination — and divides its wall time by the number
+    of DAs.  The sweep starts at 6 subcells: below that the fixed
+    per-run cost dominates.  The gate is *flatness*: seconds per DA at
+    the largest sweep point over seconds per DA at the smallest must
+    stay within :data:`CM_HIERARCHY_FLATNESS_MAX`.
+    """
+    from repro.bench.scenarios import concurrent_delegation_scenario
+
+    counts = (6, 12) if quick else (6, 12, 24, 48)
+    samples: dict[int, list[float]] = {subcells: [] for subcells in counts}
+    # each round visits every point within a fraction of a second, so
+    # host-speed drift shifts a round's points together and cancels in
+    # that round's ratio; the median round discards noise bursts.  Each
+    # run starts from a collected heap, so no point pays for
+    # collecting its predecessor's garbage
+    for _ in range(max(repeats, 7)):
+        for subcells in counts:
+            cells = tuple(f"S{index:02d}" for index in range(subcells))
+            gc.collect()
+            start = time.perf_counter()
+            system, __ = concurrent_delegation_scenario(cells)
+            elapsed = time.perf_counter() - start
+            samples[subcells].append(elapsed / len(system.cm.das()))
+            del system
+    smallest, largest = min(counts), max(counts)
+    flatness = round(statistics.median(
+        big / small for small, big
+        in zip(samples[smallest], samples[largest])), 3)
+    sweep = {subcells: statistics.median(costs)
+             for subcells, costs in samples.items()}
+    return {
+        "description":
+            "concurrent_delegation_scenario wall seconds per DA as the "
+            "hierarchy grows — the CM rewrites only the records an "
+            "operation touched, not the whole hierarchy",
+        "ops": largest + 1,
+        "ops_per_sec": round(1.0 / sweep[largest], 2),
+        "metric": "ops_per_sec = DAs/sec at the largest sweep point; "
+                  "flatness = median over rounds of largest-sweep cost "
+                  "per DA / smallest-sweep cost per DA (lower is "
+                  "flatter)",
+        "rounds": len(samples[smallest]),
+        "sweep": {f"subcells={subcells}": round(cost * 1000.0, 4)
+                  for subcells, cost in sweep.items()},
+        "sweep_unit": "ms per DA (median over rounds)",
+        "flatness": flatness,
+        "flatness_max": CM_HIERARCHY_FLATNESS_MAX,
+    }
+
+
 def _environment() -> dict[str, Any]:
     """Host metadata stamped into the artifact: the context any reader
     of the capacity numbers needs (most of all the core count)."""
@@ -898,6 +967,10 @@ def run_perf(quick: bool = False, repeats: int = 3,
         _measure_federation_scaling(quick, repeats)
     federation = benchmarks["federation_scaling"]
 
+    benchmarks["cm_hierarchy_flatness"] = \
+        _measure_cm_hierarchy_flatness(quick, repeats)
+    hierarchy = benchmarks["cm_hierarchy_flatness"]
+
     determinism = _determinism_guard(quick)
     determinism["parallel_merge_trace_identical"] = \
         scaling["trace_identical"]
@@ -921,6 +994,8 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "federation_flatness_max": FEDERATION_FLATNESS_MAX,
         "federation_flatness": federation["flatness"],
         "federation_log_bounded": federation["bounded_log"]["ok"],
+        "cm_hierarchy_flatness_max": CM_HIERARCHY_FLATNESS_MAX,
+        "cm_hierarchy_flatness": hierarchy["flatness"],
         "determinism_ok": determinism["ok"],
         #: quick mode shrinks op counts until timings say nothing, and
         #: its scorecard subset omits the kernel-bound T11 driver — the
@@ -944,7 +1019,8 @@ def run_perf(quick: bool = False, repeats: int = 3,
               and (scaling["speedup_vs_baseline"] or 0.0)
               >= SHARD_SCALING_MIN_SPEEDUP
               and (federation["flatness"] or float("inf"))
-              <= FEDERATION_FLATNESS_MAX)
+              <= FEDERATION_FLATNESS_MAX
+              and hierarchy["flatness"] <= CM_HIERARCHY_FLATNESS_MAX)
     acceptance["ok"] = ok
     report = {
         "schema": SCHEMA,
@@ -1004,6 +1080,9 @@ def render(report: dict[str, Any]) -> str:
             f"capacity",
             f"federation-flatness {acceptance['federation_flatness']:.2f}x "
             f"<= {acceptance['federation_flatness_max']:.1f}x",
+            f"cm-hierarchy-flatness "
+            f"{acceptance['cm_hierarchy_flatness']:.2f}x "
+            f"<= {acceptance['cm_hierarchy_flatness_max']:.1f}x",
         ]
     if "federation_log_bounded" in acceptance:
         gates.append("federation-log "

@@ -21,9 +21,9 @@ Implemented responsibilities:
 * dissemination control via scope locks with inheritance (Sect.5.4's
   modified nested-transaction locking scheme);
 * failure handling: all hierarchy-describing information is kept
-  persistent on the server's stable storage and restored after a
-  server crash; every cooperative operation is appended to a forced
-  protocol log.
+  persistent on the server's stable storage, one durable record per
+  DA and relationship, and restored after a server crash; every
+  cooperative operation is appended to a forced protocol log.
 """
 
 from __future__ import annotations
@@ -96,6 +96,14 @@ class CooperationManager:
         self._visibility: dict[str, set[str]] = {}
         self._inboxes: dict[str, list[Message]] = {}
         self._dm_hooks: dict[str, DmHook] = {}
+        #: registry entries changed since the last flush, as
+        #: (kind, key) in first-change order (an ordered set)
+        self._dirty: dict[tuple[str, Any], None] = {}
+        #: creation ordinal of every flushed entry; recovery rebuilds
+        #: each registry in this order
+        self._seq: dict[tuple[str, Any], int] = {}
+        #: delegations already on stable storage (the list only grows)
+        self._delegations_flushed = 0
         #: optional delivery interceptor; returning True consumes the
         #: message instead of queueing it (the auto-dispatch path)
         self.on_deliver: Callable[[str, Message], bool] | None = None
@@ -116,6 +124,21 @@ class CooperationManager:
                       dov_id: str) -> bool:
         """Scope-lock compatibility: granted along authorised sharing."""
         return requestor in self._visibility.get(dov_id, set())
+
+    def _touch(self, kind: str, key: Any) -> None:
+        """Mark one registry entry for rewrite at the next flush."""
+        self._dirty[(kind, key)] = None
+
+    def _edit_da(self, da_id: str) -> DesignActivity:
+        """Look up a DA the running operation is about to change."""
+        da = self.da(da_id)
+        self._touch("da", da_id)
+        return da
+
+    def _holders(self, dov_id: str) -> set[str]:
+        """The DAs authorised to share a scope lock on *dov_id* (marked)."""
+        self._touch("visibility", dov_id)
+        return self._visibility.setdefault(dov_id, set())
 
     def _record(self, operation: str, subject: str, **detail: Any) -> None:
         self.trace.record(self.clock.now, Level.AC, "CM", operation,
@@ -147,6 +170,7 @@ class CooperationManager:
             hook = self.on_deliver
             if hook is not None and hook(recipient, message):
                 return
+            self._touch("inbox", recipient)
             self._inboxes.setdefault(recipient, []).append(message)
 
         self.network.post(self.server_node, destination, deliver,
@@ -225,11 +249,12 @@ class CooperationManager:
 
     def _grant_visibility(self, da_id: str, dov_id: str) -> None:
         """Authorise and take a scope lock for *da_id* on *dov_id*."""
-        self._visibility.setdefault(dov_id, set()).add(da_id)
+        self._holders(dov_id).add(da_id)
         self.locks.acquire(dov_id, da_id, LockMode.SCOPE)
 
     def _revoke_visibility(self, da_id: str, dov_id: str) -> None:
-        self._visibility.get(dov_id, set()).discard(da_id)
+        if dov_id in self._visibility:
+            self._holders(dov_id).discard(da_id)
         self.locks.release(dov_id, da_id, LockMode.SCOPE)
 
     # ======================================================================
@@ -254,6 +279,7 @@ class CooperationManager:
         da = DesignActivity(da_id, vector, workstation,
                             created_at=self.clock.now)
         self._das[da_id] = da
+        self._touch("da", da_id)
         self.repository.create_graph(da_id)
         if initial_data is not None:
             dov0 = self.repository.checkin(da_id, dot.name, initial_data,
@@ -275,7 +301,7 @@ class CooperationManager:
         the sub-DA's DOT must be a *part* of the super-DA's DOT, and an
         initial DOV must come from the super-DA's scope.
         """
-        super_da = self.da(super_id)
+        super_da = self._edit_da(super_id)
         super_da.machine.apply(DaOperation.CREATE_SUB_DA)
         if not dot.is_part_of(super_da.dot):
             raise DelegationError(
@@ -294,6 +320,7 @@ class CooperationManager:
         sub = DesignActivity(da_id, vector, workstation, parent=super_id,
                              created_at=self.clock.now)
         self._das[da_id] = sub
+        self._touch("da", da_id)
         super_da.children.append(da_id)
         self._delegations.append(
             Delegation(super_id, da_id, self.clock.now))
@@ -308,7 +335,7 @@ class CooperationManager:
 
     def start(self, da_id: str) -> None:
         """Start: the DA begins its design work (GENERATED -> ACTIVE)."""
-        da = self.da(da_id)
+        da = self._edit_da(da_id)
         da.machine.apply(DaOperation.START)
         self._log_op(DaOperation.START, da_id)
         self._record("Start", da_id)
@@ -316,7 +343,7 @@ class CooperationManager:
 
     def evaluate(self, da_id: str, dov_id: str) -> QualityState:
         """Evaluate: determine the quality state of a DOV in scope."""
-        da = self.da(da_id)
+        da = self._edit_da(da_id)
         da.machine.apply(DaOperation.EVALUATE)
         if not self.in_scope(da_id, dov_id):
             raise ScopeViolationError(
@@ -342,7 +369,7 @@ class CooperationManager:
         super-DA."  From this state on the super-DA may already read
         the final DOVs (Sect.5.4).
         """
-        sub = self.da(sub_id)
+        sub = self._edit_da(sub_id)
         if sub.parent is None:
             raise CooperationError(
                 f"top-level DA {sub_id!r} has no super-DA to notify")
@@ -354,7 +381,7 @@ class CooperationManager:
         for dov_id in sub.final_dovs:
             # the sub holds scope locks on its finals (they are in its
             # graph); authorise the super to share them already now
-            self._visibility.setdefault(dov_id, set()).add(sub_id)
+            self._holders(dov_id).add(sub_id)
             self.locks.try_acquire(dov_id, sub_id, LockMode.SCOPE)
             self._grant_visibility(sub.parent, dov_id)
         self._send("ready_to_commit", sub_id, sub.parent,
@@ -372,7 +399,7 @@ class CooperationManager:
         the requirements of its specification and therefore asks for a
         reaction of its super-DA."
         """
-        sub = self.da(sub_id)
+        sub = self._edit_da(sub_id)
         if sub.parent is None:
             raise CooperationError(
                 f"top-level DA {sub_id!r} has no super-DA to notify")
@@ -396,7 +423,7 @@ class CooperationManager:
         under the new specification and propagations whose features are
         no longer part of the new spec are withdrawn (Sect.5.4).
         """
-        sub = self.da(sub_id)
+        sub = self._edit_da(sub_id)
         if sub.parent != super_id:
             raise DelegationError(
                 f"{super_id!r} is not the super-DA of {sub_id!r}")
@@ -442,7 +469,7 @@ class CooperationManager:
         will not be ancestors of an inherited final DOV are withdrawn.
         Returns the inherited DOV ids.
         """
-        sub = self.da(sub_id)
+        sub = self._edit_da(sub_id)
         if sub.parent != super_id:
             raise DelegationError(
                 f"{super_id!r} is not the super-DA of {sub_id!r}")
@@ -451,12 +478,11 @@ class CooperationManager:
         final = set(sub.final_dovs)
         # ensure the sub holds scope locks on its finals for inheritance
         for dov_id in final:
-            self._visibility.setdefault(dov_id, set()).update(
-                {sub_id, super_id})
+            self._holders(dov_id).update({sub_id, super_id})
             self.locks.try_acquire(dov_id, sub_id, LockMode.SCOPE)
         inherited = self.locks.inherit_scope_locks(sub_id, super_id, final)
         for dov_id in inherited:
-            self._visibility.setdefault(dov_id, set()).add(super_id)
+            self._holders(dov_id).add(super_id)
 
         # withdrawal: propagated DOVs that are not ancestors of a final
         graph = self.repository.graph(sub_id)
@@ -473,6 +499,7 @@ class CooperationManager:
         # close any negotiations the sub was part of
         for negotiation in self._negotiations.values():
             if negotiation.involves(sub_id):
+                self._touch("negotiation", negotiation.negotiation_id)
                 negotiation.closed = True
 
         self._log_op(DaOperation.TERMINATE_SUB_DA, super_id, sub=sub_id,
@@ -485,7 +512,7 @@ class CooperationManager:
     def finish_top_level(self, da_id: str) -> None:
         """Close the whole design: "After finishing the top-level DA all
         locks are released."  All sub-DAs must be terminated."""
-        da = self.da(da_id)
+        da = self._edit_da(da_id)
         if da.parent is not None:
             raise CooperationError(f"DA {da_id!r} is not top-level")
         alive = [c.da_id for c in self.children_of(da_id)]
@@ -528,7 +555,7 @@ class CooperationManager:
         and None is returned.
         """
         requiring = self.da(requiring_id)
-        supporting = self.da(supporting_id)
+        supporting = self._edit_da(supporting_id)
         if requiring_id == supporting_id:
             raise RelationshipError("a DA cannot require from itself")
         if requiring.state is not DaState.ACTIVE:
@@ -552,6 +579,7 @@ class CooperationManager:
             self._usages[key] = usage
         else:
             usage.required_features = frozenset(features)
+        self._touch("usage", key)
         self._log_op(DaOperation.REQUIRE, requiring_id,
                      supporting=supporting_id, features=sorted(features))
         self._record("Require", supporting_id, requiring=requiring_id)
@@ -578,6 +606,7 @@ class CooperationManager:
 
     def _deliver(self, usage: Usage, dov_id: str) -> None:
         self._grant_visibility(usage.requiring_da, dov_id)
+        self._touch("usage", usage.key())
         usage.delivered.append(dov_id)
         self._send("dov_delivered", usage.supporting_da,
                    usage.requiring_da, dov=dov_id)
@@ -591,7 +620,7 @@ class CooperationManager:
         DA control over which of its DOVs are pre-released."  Returns
         the requiring DAs the DOV was delivered to.
         """
-        da = self.da(da_id)
+        da = self._edit_da(da_id)
         da.machine.apply(DaOperation.PROPAGATE)
         if not self.repository.has_graph(da_id) \
                 or dov_id not in self.repository.graph(da_id):
@@ -663,6 +692,7 @@ class CooperationManager:
             if quality is not None \
                     and quality.covers(usage.required_features):
                 if dov_id not in supporting.propagated:
+                    self._touch("da", supporting.da_id)
                     supporting.propagated.append(dov_id)
                 return dov_id
         return None
@@ -725,6 +755,7 @@ class CooperationManager:
         return False
 
     def _withdraw_delivery(self, usage: Usage, dov_id: str) -> bool:
+        self._touch("usage", usage.key())
         usage.delivered.remove(dov_id)
         usage.withdrawn.append(dov_id)
         self._revoke_visibility(usage.requiring_da, dov_id)
@@ -776,11 +807,12 @@ class CooperationManager:
                 f"only the common super-DA {super_id!r} may set a "
                 f"negotiation relationship explicitly")
         for da_id in (da_a, da_b):
-            self.da(da_id).machine.apply(
+            self._edit_da(da_id).machine.apply(
                 DaOperation.CREATE_NEGOTIATION_REL)
         negotiation = Negotiation(self.ids.next("neg"), da_a, da_b,
                                   subject, created_by=creator_id)
         self._negotiations[negotiation.negotiation_id] = negotiation
+        self._touch("negotiation", negotiation.negotiation_id)
         self._log_op(DaOperation.CREATE_NEGOTIATION_REL, creator_id,
                      da_a=da_a, da_b=da_b, subject=subject)
         self._record("Create_Negotiation_Relationship",
@@ -799,6 +831,7 @@ class CooperationManager:
         negotiation = Negotiation(self.ids.next("neg"), proposer, other,
                                   created_by=proposer)
         self._negotiations[negotiation.negotiation_id] = negotiation
+        self._touch("negotiation", negotiation.negotiation_id)
         return negotiation
 
     def propose(self, proposer_id: str, other_id: str,
@@ -818,9 +851,10 @@ class CooperationManager:
                 f"an open proposal")
         for da_id in (proposer_id, other_id):
             # ACTIVE -> NEGOTIATING, or NEGOTIATING stays (counter-proposal)
-            self.da(da_id).machine.apply(DaOperation.PROPOSE)
+            self._edit_da(da_id).machine.apply(DaOperation.PROPOSE)
         proposal = Proposal(self.ids.next("prop"), proposer_id,
                             changes, note)
+        self._touch("negotiation", negotiation.negotiation_id)
         negotiation.proposals.append(proposal)
         self._send("proposal", proposer_id, other_id,
                    proposal=proposal.proposal_id, note=note)
@@ -851,7 +885,7 @@ class CooperationManager:
                 new_spec = new_spec.replaced(feature)
             self._apply_spec_change(target, new_spec)
         for party in (negotiation.da_a, negotiation.da_b):
-            self.da(party).machine.apply(DaOperation.AGREE)
+            self._edit_da(party).machine.apply(DaOperation.AGREE)
         self._log_op(DaOperation.AGREE, da_id, proposal=proposal_id)
         self._record("Agree", proposal_id, da=da_id)
         self._persist()
@@ -865,7 +899,7 @@ class CooperationManager:
                 f"proposal")
         proposal.status = ProposalStatus.REJECTED
         proposal.responded_by = da_id
-        self.da(da_id).machine.apply(DaOperation.DISAGREE)
+        self._edit_da(da_id).machine.apply(DaOperation.DISAGREE)
         self._send("disagree", da_id, proposal.proposer,
                    proposal=proposal_id)
         self._log_op(DaOperation.DISAGREE, da_id, proposal=proposal_id)
@@ -888,12 +922,13 @@ class CooperationManager:
                 f"{negotiation_id!r}")
         super_id = self._require_siblings(negotiation.da_a,
                                           negotiation.da_b)
+        self._touch("negotiation", negotiation_id)
         open_proposal = negotiation.open_proposal()
         if open_proposal is not None:
             open_proposal.status = ProposalStatus.ESCALATED
         negotiation.escalations += 1
         for party in (negotiation.da_a, negotiation.da_b):
-            party_da = self.da(party)
+            party_da = self._edit_da(party)
             if party_da.state is DaState.NEGOTIATING:
                 party_da.machine.apply(DaOperation.SUB_DA_SPEC_CONFLICT)
         self._send("specification_conflict", da_id, super_id,
@@ -914,6 +949,8 @@ class CooperationManager:
                         raise NegotiationError(
                             f"proposal {proposal_id!r} is "
                             f"{proposal.status.value}, not open")
+                    # the caller answers the proposal
+                    self._touch("negotiation", negotiation.negotiation_id)
                     return negotiation, proposal
         raise NegotiationError(
             f"no open proposal {proposal_id!r} involving {da_id!r}")
@@ -921,6 +958,7 @@ class CooperationManager:
     def _apply_spec_change(self, da: DesignActivity,
                            new_spec: DesignSpecification) -> None:
         """Spec change without restart (negotiated modification)."""
+        self._touch("da", da.da_id)
         da.spec = new_spec
         da.final_dovs = []
         for dov_id in list(da.quality):
@@ -950,17 +988,30 @@ class CooperationManager:
         """Consume (and return) a DA's pending messages."""
         pending = self._inboxes.get(da_id, [])
         if kind is None:
-            self._inboxes[da_id] = []
-            return pending
-        taken = [m for m in pending if m.kind == kind]
-        self._inboxes[da_id] = [m for m in pending if m.kind != kind]
+            taken, kept = pending, []
+        else:
+            taken = [m for m in pending if m.kind == kind]
+            kept = [m for m in pending if m.kind != kind]
+        if taken or da_id not in self._inboxes:
+            self._touch("inbox", da_id)
+        self._inboxes[da_id] = kept
         return taken
 
     # ======================================================================
     # failure handling (server crash)
     # ======================================================================
 
-    _STATE_KEY = "cm-state"
+    #: durable record kinds -> the registry attribute each one mirrors
+    _REGISTRIES = {"da": "_das", "usage": "_usages",
+                   "negotiation": "_negotiations",
+                   "visibility": "_visibility", "inbox": "_inboxes"}
+
+    @staticmethod
+    def _durable_key(kind: str, key: Any) -> str:
+        """``cm/<kind>/<id>``; a usage is keyed by both of its DAs."""
+        if kind == "usage":
+            key = "/".join(key)
+        return f"cm/{kind}/{key}"
 
     def _persist(self) -> None:
         """Write the hierarchy-describing information to stable storage.
@@ -968,17 +1019,35 @@ class CooperationManager:
         "To react to a server crash, the CM only needs to hold
         persistent the DA-hierarchy-describing information ... it can
         employ the data management facilities of the server DBMS"
-        (Sect.5.4).
+        (Sect.5.4).  Each DA and relationship is one durable record;
+        only the records changed since the last flush (plus newly
+        appended delegations) are rewritten, so an operation costs
+        O(records it touched), not O(hierarchy).  A DA record names
+        its DOT instead of copying it: the DOT catalog is durable.
         """
-        node = self.network.node(self.server_node)
-        node.stable.put(self._STATE_KEY, {
-            "das": self._das,
-            "delegations": self._delegations,
-            "usages": self._usages,
-            "negotiations": self._negotiations,
-            "visibility": self._visibility,
-            "inboxes": self._inboxes,
-        })
+        stable = self.network.node(self.server_node).stable
+        for index in range(self._delegations_flushed,
+                           len(self._delegations)):
+            stable.put(f"cm/delegation/{index}", self._delegations[index])
+        self._delegations_flushed = len(self._delegations)
+        for entry in self._dirty:
+            kind, key = entry
+            value = getattr(self, self._REGISTRIES[kind])[key]
+            if kind == "da":
+                value = self._dot_by_name(value)
+            seq = self._seq.setdefault(entry, len(self._seq))
+            stable.put(self._durable_key(kind, key),
+                       {"seq": seq, "key": key, "value": value})
+        self._dirty.clear()
+
+    @staticmethod
+    def _dot_by_name(da: DesignActivity) -> DesignActivity:
+        """A shallow copy of *da* whose vector holds the DOT's name."""
+        vector = copy.copy(da.vector)
+        vector.dot = da.dot.name  # type: ignore[assignment]
+        stored = copy.copy(da)
+        stored.vector = vector
+        return stored
 
     def _on_server_crash(self) -> None:
         """Volatile registries vanish with the server process."""
@@ -988,24 +1057,48 @@ class CooperationManager:
         self._negotiations = {}
         self._visibility = {}
         self._inboxes = {}
+        self._dirty = {}
+        self._seq = {}
+        self._delegations_flushed = 0
 
     def recover(self) -> dict[str, int]:
-        """Server restart: reload persistent state, rebuild scope locks."""
-        node = self.network.node(self.server_node)
-        state = node.stable.get(self._STATE_KEY)
-        if state is None:
+        """Server restart: reload persistent state, rebuild scope locks.
+
+        Every registry is rebuilt from its ``cm/<kind>/...`` records in
+        creation order; a DA's DOT is looked up by name in the
+        repository's catalog.  Changes not flushed before the crash are
+        lost, exactly as with the volatile registries themselves.
+        """
+        stable = self.network.node(self.server_node).stable
+        if not stable.keys("cm/"):
             return {"das": 0, "scope_locks": 0}
-        self._das = state["das"]
-        self._delegations = state["delegations"]
-        self._usages = state["usages"]
-        self._negotiations = state["negotiations"]
-        self._visibility = state["visibility"]
-        self._inboxes = state["inboxes"]
-        # rebuild scope locks (the lock table is server-volatile)
+        delegations = stable.keys("cm/delegation/")
+        self._delegations = [stable.get(k) for k in sorted(
+            delegations, key=lambda k: int(k.rsplit("/", 1)[1]))]
+        self._delegations_flushed = len(self._delegations)
+        records = []
+        for kind, attr in self._REGISTRIES.items():
+            setattr(self, attr, {})
+            records += [(kind, stable.get(k))
+                        for k in stable.keys(f"cm/{kind}/")]
+        records.sort(key=lambda r: r[1]["seq"])
+        self._dirty = {}
+        self._seq = {}
+        for kind, record in records:
+            value = record["value"]
+            if kind == "da":
+                value.vector.dot = self.repository.dot(value.vector.dot)
+            getattr(self, self._REGISTRIES[kind])[record["key"]] = value
+            self._seq[(kind, record["key"])] = record["seq"]
+        # rebuild scope locks (the lock table is server-volatile); a
+        # terminated DA holds none — Terminate_Sub_DA passed its locks
+        # on, Finish_Top_Level released them
         self.locks.usage_allows = self._usage_allows
         rebuilt = 0
         for dov_id, holders in self._visibility.items():
             for da_id in holders:
+                if self._das[da_id].state is DaState.TERMINATED:
+                    continue
                 if self.locks.try_acquire(dov_id, da_id,
                                           LockMode.SCOPE) is not None:
                     rebuilt += 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.util.rng import SeededRng
 from repro.vlsi.floorplan import Floorplan, FloorplanInterface, Placement
-from repro.vlsi.netlist import NetList
+from repro.vlsi.netlist import Net, NetList
 from repro.vlsi.shapes import Shape, ShapeFunction
 
 
@@ -75,18 +75,28 @@ def bipartition(netlist: NetList, areas: dict[str, float],
         share = new_a / total
         return 0.4 <= share <= 0.6 or min(len(part_a), len(part_b)) <= 1
 
+    # a move changes the cut state of the moving cell's nets only, so
+    # its gain is counted over those nets instead of the whole cut
+    touching: dict[str, list[Net]] = {cell: [] for cell in cells}
+    for net in netlist.nets:
+        for cell in set(net.cells):
+            touching[cell].append(net)
+
+    def cut_of(cell: str) -> int:
+        return sum(1 for n in touching[cell] if n.crosses(part_a, part_b))
+
     for _ in range(passes):
         best_gain = 0
         best_move: tuple[str, set[str], set[str]] | None = None
-        current_cut = netlist.cut_size(part_a, part_b)
         for cell in cells:
             src, dst = (part_a, part_b) if cell in part_a \
                 else (part_b, part_a)
             if len(src) <= 1 or not balanced_after(cell, src):
                 continue
+            before = cut_of(cell)
             src.remove(cell)
             dst.add(cell)
-            gain = current_cut - netlist.cut_size(part_a, part_b)
+            gain = before - cut_of(cell)
             dst.remove(cell)
             src.add(cell)
             if gain > best_gain:

@@ -97,6 +97,11 @@ def render_delta(new: dict[str, Any],
                     f"federation-flatness "
                     f"{acceptance.get('federation_flatness')}x "
                     f"<= {acceptance.get('federation_flatness_max')}x")
+            if "cm_hierarchy_flatness" in acceptance:
+                gates.append(
+                    f"cm-hierarchy-flatness "
+                    f"{acceptance.get('cm_hierarchy_flatness')}x "
+                    f"<= {acceptance.get('cm_hierarchy_flatness_max')}x")
         if "federation_log_bounded" in acceptance:
             gates.append(
                 "federation-log "
