@@ -27,6 +27,7 @@ EXPECTED = {
     "shard_scaling",
     "federation_scaling",
     "cm_hierarchy_flatness",
+    "te_session_flatness",
 }
 
 

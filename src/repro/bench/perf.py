@@ -131,6 +131,14 @@ FEDERATION_FLATNESS_MAX = 1.3
 #: of its siblings (a whole-hierarchy copy per operation read 3.9-4.9x)
 CM_HIERARCHY_FLATNESS_MAX = 1.5
 
+#: acceptance ceiling (full mode only): whole-run wall microseconds
+#: per designer step of the write-back team scenario at 128 steps per
+#: session divided by the cost at 16 — every checkout sets a recovery
+#: point, and a point journals only the checkouts since the previous
+#: one, so a step must not cost more the longer its session has run
+#: (a whole-context image per point read 1.88x)
+TE_SESSION_FLATNESS_MAX = 1.3
+
 #: frontier window of the bounded-log run: the decision log
 #: auto-checkpoints every this-many completed batches, and its record
 #: count (sampled after every batch) must stay <= 2x this window no
@@ -675,6 +683,37 @@ def _measure_federation_scaling(quick: bool,
     }
 
 
+def _flatness_sweep(points: tuple[int, ...], run: Callable[[int], int],
+                    repeats: int) -> tuple[dict[int, float], float, int]:
+    """Wall seconds per unit of work across a scaling sweep.
+
+    ``run(point)`` runs one sweep point end to end and returns the
+    units of work it did (DAs, designer steps).  Returns the median
+    cost per unit of every point, the *flatness* (median over rounds
+    of cost per unit at the largest point / at the smallest) and the
+    number of rounds.
+    """
+    samples: dict[int, list[float]] = {point: [] for point in points}
+    # each round visits every point within a fraction of a second, so
+    # host-speed drift shifts a round's points together and cancels in
+    # that round's ratio; the median round discards noise bursts.  Each
+    # run starts from a collected heap, so no point pays for
+    # collecting its predecessor's garbage
+    for _ in range(max(repeats, 7)):
+        for point in points:
+            gc.collect()
+            start = time.perf_counter()
+            units = run(point)
+            samples[point].append((time.perf_counter() - start) / units)
+    smallest, largest = min(points), max(points)
+    flatness = round(statistics.median(
+        big / small for small, big
+        in zip(samples[smallest], samples[largest])), 3)
+    sweep = {point: statistics.median(costs)
+             for point, costs in samples.items()}
+    return sweep, flatness, len(samples[smallest])
+
+
 def _measure_cm_hierarchy_flatness(quick: bool,
                                    repeats: int) -> dict[str, Any]:
     """Whole-run wall seconds per DA as the delegation tree widens.
@@ -689,28 +728,14 @@ def _measure_cm_hierarchy_flatness(quick: bool,
     """
     from repro.bench.scenarios import concurrent_delegation_scenario
 
+    def run(subcells: int) -> int:
+        cells = tuple(f"S{index:02d}" for index in range(subcells))
+        system, __ = concurrent_delegation_scenario(cells)
+        return len(system.cm.das())
+
     counts = (6, 12) if quick else (6, 12, 24, 48)
-    samples: dict[int, list[float]] = {subcells: [] for subcells in counts}
-    # each round visits every point within a fraction of a second, so
-    # host-speed drift shifts a round's points together and cancels in
-    # that round's ratio; the median round discards noise bursts.  Each
-    # run starts from a collected heap, so no point pays for
-    # collecting its predecessor's garbage
-    for _ in range(max(repeats, 7)):
-        for subcells in counts:
-            cells = tuple(f"S{index:02d}" for index in range(subcells))
-            gc.collect()
-            start = time.perf_counter()
-            system, __ = concurrent_delegation_scenario(cells)
-            elapsed = time.perf_counter() - start
-            samples[subcells].append(elapsed / len(system.cm.das()))
-            del system
-    smallest, largest = min(counts), max(counts)
-    flatness = round(statistics.median(
-        big / small for small, big
-        in zip(samples[smallest], samples[largest])), 3)
-    sweep = {subcells: statistics.median(costs)
-             for subcells, costs in samples.items()}
+    largest = max(counts)
+    sweep, flatness, rounds = _flatness_sweep(counts, run, repeats)
     return {
         "description":
             "concurrent_delegation_scenario wall seconds per DA as the "
@@ -722,12 +747,56 @@ def _measure_cm_hierarchy_flatness(quick: bool,
                   "flatness = median over rounds of largest-sweep cost "
                   "per DA / smallest-sweep cost per DA (lower is "
                   "flatter)",
-        "rounds": len(samples[smallest]),
+        "rounds": rounds,
         "sweep": {f"subcells={subcells}": round(cost * 1000.0, 4)
                   for subcells, cost in sweep.items()},
         "sweep_unit": "ms per DA (median over rounds)",
         "flatness": flatness,
         "flatness_max": CM_HIERARCHY_FLATNESS_MAX,
+    }
+
+
+def _measure_te_session_flatness(quick: bool,
+                                 repeats: int) -> dict[str, Any]:
+    """Whole-run wall microseconds per designer step as sessions grow.
+
+    Each sweep point runs :func:`write_back_scenario` (8 designers,
+    80% writes) end to end with ``steps_per_session`` steps in every
+    session — one long DOP each, so the DOP's checkout list grows
+    with the session — and divides its wall time by the designer
+    steps run.  The gate is *flatness*: cost per step at the longest
+    session over cost per step at the shortest must stay within
+    :data:`TE_SESSION_FLATNESS_MAX`.
+    """
+    from repro.bench.scenarios import write_back_scenario
+
+    team = 8
+
+    def run(steps: int) -> int:
+        write_back_scenario(team=team, write_ratio=0.8,
+                            steps_per_session=steps)
+        return team * steps
+
+    lengths = (16, 32) if quick else (16, 32, 64, 128)
+    longest = max(lengths)
+    sweep, flatness, rounds = _flatness_sweep(lengths, run, repeats)
+    return {
+        "description":
+            "write_back_scenario wall microseconds per designer step "
+            "as sessions lengthen — a recovery point journals only the "
+            "checkouts since the previous one, not the whole context",
+        "ops": team * longest,
+        "ops_per_sec": round(1.0 / sweep[longest], 2),
+        "metric": "ops_per_sec = designer steps/sec at the longest "
+                  "session; flatness = median over rounds of "
+                  "longest-session cost per step / shortest-session "
+                  "cost per step (lower is flatter)",
+        "rounds": rounds,
+        "sweep": {f"steps={steps}": round(cost * 1e6, 2)
+                  for steps, cost in sweep.items()},
+        "sweep_unit": "us per designer step (median over rounds)",
+        "flatness": flatness,
+        "flatness_max": TE_SESSION_FLATNESS_MAX,
     }
 
 
@@ -971,6 +1040,10 @@ def run_perf(quick: bool = False, repeats: int = 3,
         _measure_cm_hierarchy_flatness(quick, repeats)
     hierarchy = benchmarks["cm_hierarchy_flatness"]
 
+    benchmarks["te_session_flatness"] = \
+        _measure_te_session_flatness(quick, repeats)
+    session = benchmarks["te_session_flatness"]
+
     determinism = _determinism_guard(quick)
     determinism["parallel_merge_trace_identical"] = \
         scaling["trace_identical"]
@@ -996,6 +1069,8 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "federation_log_bounded": federation["bounded_log"]["ok"],
         "cm_hierarchy_flatness_max": CM_HIERARCHY_FLATNESS_MAX,
         "cm_hierarchy_flatness": hierarchy["flatness"],
+        "te_session_flatness_max": TE_SESSION_FLATNESS_MAX,
+        "te_session_flatness": session["flatness"],
         "determinism_ok": determinism["ok"],
         #: quick mode shrinks op counts until timings say nothing, and
         #: its scorecard subset omits the kernel-bound T11 driver — the
@@ -1020,7 +1095,8 @@ def run_perf(quick: bool = False, repeats: int = 3,
               >= SHARD_SCALING_MIN_SPEEDUP
               and (federation["flatness"] or float("inf"))
               <= FEDERATION_FLATNESS_MAX
-              and hierarchy["flatness"] <= CM_HIERARCHY_FLATNESS_MAX)
+              and hierarchy["flatness"] <= CM_HIERARCHY_FLATNESS_MAX
+              and session["flatness"] <= TE_SESSION_FLATNESS_MAX)
     acceptance["ok"] = ok
     report = {
         "schema": SCHEMA,
@@ -1083,6 +1159,9 @@ def render(report: dict[str, Any]) -> str:
             f"cm-hierarchy-flatness "
             f"{acceptance['cm_hierarchy_flatness']:.2f}x "
             f"<= {acceptance['cm_hierarchy_flatness_max']:.1f}x",
+            f"te-session-flatness "
+            f"{acceptance['te_session_flatness']:.2f}x "
+            f"<= {acceptance['te_session_flatness_max']:.1f}x",
         ]
     if "federation_log_bounded" in acceptance:
         gates.append("federation-log "

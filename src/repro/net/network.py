@@ -94,6 +94,21 @@ class StableStorage:
             self._data[key] = copy.deepcopy(value)
         self.writes += 1
 
+    def append(self, key: str, value: Any) -> None:
+        """Durably append *value* to the list stored under *key*.
+
+        The log-shaped sibling of :meth:`put`: a journal grows by one
+        entry without rewriting its prefix.  The entry follows the
+        same copy-unless-immutable rule as :meth:`put`; a missing key
+        starts a new list, an existing one must hold a list.
+        """
+        if _is_immutable(value):
+            self.copies_saved += 1
+        else:
+            value = copy.deepcopy(value)
+        self._data.setdefault(key, []).append(value)
+        self.writes += 1
+
     def get(self, key: str, default: Any = None) -> Any:
         """Read back a durable value (a private copy)."""
         if key not in self._data:

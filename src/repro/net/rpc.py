@@ -7,7 +7,9 @@ that abstraction over the simulated LAN:
 
 * **at-most-once execution** — every call carries a unique call id; the
   callee keeps a durable reply cache, so a retried call returns the
-  cached reply instead of re-executing;
+  cached reply instead of re-executing.  A caller's *new* call id
+  acknowledges its previous reply implicitly (the caller has it), so
+  the callee drops that reply: the cache holds one reply per caller;
 * **durable handler dispatch** — handlers are registered per node under
   stable names, so a restarted node serves the same interface;
 * **failure surface** — when either end is down the caller sees an
@@ -40,6 +42,8 @@ class TransactionalRpc:
         #: node_id -> handler name -> callable
         self._handlers: dict[str, dict[str, Callable[..., Any]]] = {}
         self._next_call_id = 0
+        #: (callee, caller) -> reply cache key of the caller's last call
+        self._last_reply: dict[tuple[str, str], str] = {}
         self.calls_made = 0
         self.replies_cached = 0
 
@@ -62,7 +66,8 @@ class TransactionalRpc:
         """Invoke endpoint *name* on *dst* from *src*.
 
         A repeated *call_id* returns the durably cached reply without
-        re-executing the handler (at-most-once).  Application-level
+        re-executing the handler (at-most-once); a new one drops the
+        caller's previous reply from *dst*'s cache.  Application-level
         exceptions raised by the handler propagate to the caller —
         they are *results*, not transport failures.
         """
@@ -88,6 +93,10 @@ class TransactionalRpc:
         if name not in handlers:
             raise RpcError(f"node {dst!r} has no endpoint {name!r}")
         self.calls_made += 1
+        previous = self._last_reply.get((dst, src))
+        if previous is not None:
+            dst_node.stable.delete(previous)
+        self._last_reply[(dst, src)] = cache_key
         value = handlers[name](*args, **kwargs)
         dst_node.stable.put(cache_key, {"value": value})
 

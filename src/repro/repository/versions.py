@@ -345,7 +345,12 @@ class DesignObjectVersion:
         Simulated checkin time.
     parents:
         Ids of the versions this one was derived from (empty for DOV0 /
-        initial versions).
+        initial versions); always a tuple, whatever sequence was passed.
+
+    Every field is immutable once :meth:`__post_init__` has run, so a
+    copy of a version *is* the version: :meth:`__deepcopy__` and
+    :meth:`__copy__` return ``self``, like the frozen payload
+    containers.
     """
 
     dov_id: str
@@ -365,6 +370,14 @@ class DesignObjectVersion:
             data = freeze_payload(data)
             object.__setattr__(self, "data", data)
         object.__setattr__(self, "_payload_size", data._frozen_size)
+        if type(self.parents) is not tuple:
+            object.__setattr__(self, "parents", tuple(self.parents))
+
+    def __deepcopy__(self, memo: dict) -> "DesignObjectVersion":
+        return self
+
+    def __copy__(self) -> "DesignObjectVersion":
+        return self
 
     def copy_data(self) -> dict[str, Any]:
         """The payload as a private-by-construction mapping.

@@ -34,8 +34,8 @@ def _cow_copy(mapping: dict[str, Any]) -> dict[str, Any]:
 
     Values installed by checkout are frozen (immutable through any
     reference) and are shared into the image as-is; everything the
-    tool produced itself is deep-copied as before.  The recovery-point
-    hot path thus costs O(top-level keys), not O(payload bytes).
+    tool produced itself is deep-copied as before.  Savepoints and
+    restores thus cost O(top-level keys), not O(payload bytes).
     """
     return {key: value if is_frozen_payload(value)
             else copy.deepcopy(value)
@@ -51,7 +51,9 @@ class DopContext:
     is whatever the tool needs to continue (iteration counters,
     intermediate structures); ``work_done`` accumulates the simulated
     effort invested, which the lost-work experiment (T2) compares before
-    and after crashes.
+    and after crashes.  ``checked_out`` only ever grows by an in-place
+    append (checkout); every other change replaces the whole context,
+    which is what lets recovery points journal it as an append-only log.
     """
 
     data: dict[str, Any] = field(default_factory=dict)
@@ -129,6 +131,14 @@ class SavepointStack:
 
     def __len__(self) -> int:
         return len(self._stack)
+
+    def images(self) -> list[tuple[str, dict[str, Any]]]:
+        """The stored ``(name, image)`` pairs themselves, uncopied.
+
+        For a writer that copies them once anyway (a recovery point's
+        ``StableStorage.put``); everyone else wants :meth:`snapshot`.
+        """
+        return self._stack
 
     def snapshot(self) -> list[tuple[str, dict[str, Any]]]:
         """Storage-ready image of the whole stack."""

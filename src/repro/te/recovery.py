@@ -54,7 +54,18 @@ class RecoveryPoint:
 
 
 class RecoveryManager:
-    """Client-TM-side persistence of recovery points and savepoints."""
+    """Client-TM-side persistence of recovery points and savepoints.
+
+    A point is two durable records per DOP.  The *header*
+    (``recovery-point:<dop>``) holds everything but the checkout list:
+    ``data``, ``tool_state``, ``work_done``, the savepoint images, the
+    checkout-log length, ``taken_at`` and ``reason`` — written by one
+    :meth:`StableStorage.put`, whose deep copy is the point's only
+    private copy (frozen payload values share themselves).  The
+    *checkout log* (``recovery-log:<dop>``) is append-only: a point
+    appends just the ``checked_out`` entries added since the previous
+    one, so its cost does not grow with the length of the session.
+    """
 
     def __init__(self, stable: StableStorage,
                  policy: RecoveryPointPolicy | None = None) -> None:
@@ -62,36 +73,56 @@ class RecoveryManager:
         self.policy = policy or RecoveryPointPolicy()
         #: recovery points taken (for the T2 accounting)
         self.points_taken = 0
+        #: volatile: dop_id -> (the context's ``checked_out`` list, the
+        #: number of its entries already in the durable log)
+        self._journaled: dict[str, tuple[list[str], int]] = {}
 
     def _key(self, dop_id: str) -> str:
         return f"recovery-point:{dop_id}"
+
+    def _log_key(self, dop_id: str) -> str:
+        return f"recovery-log:{dop_id}"
 
     # -- taking points ------------------------------------------------------
 
     def take(self, dop_id: str, context: DopContext,
              savepoints: SavepointStack, taken_at: float,
-             reason: str) -> RecoveryPoint:
+             reason: str) -> None:
         """Persist a new recovery point (replaces the previous one).
 
         Only the most recent point is retained: "the TM has to rely on
-        the most recent recovery point" (Sect.5.2).
+        the most recent recovery point" (Sect.5.2).  The checkout log
+        is rewritten whole only when the context's list is not the one
+        journaled last time or became shorter (Restore, Resume,
+        :meth:`~repro.te.transaction_manager.ClientTM.recover_dop`, a
+        first point); otherwise only its new suffix is appended.
         """
-        point = RecoveryPoint(
-            dop_id=dop_id,
-            taken_at=taken_at,
-            reason=reason,
-            context=context.snapshot(),
-            savepoints=savepoints.snapshot(),
-        )
+        checked_out = context.checked_out
+        log_key = self._log_key(dop_id)
+        journaled = self._journaled.get(dop_id)
+        if journaled is not None and journaled[0] is checked_out \
+                and journaled[1] <= len(checked_out):
+            for entry in checked_out[journaled[1]:]:
+                self.stable.append(log_key, entry)
+        else:
+            self.stable.put(log_key, checked_out)
+        self._journaled[dop_id] = (checked_out, len(checked_out))
         self.stable.put(self._key(dop_id), {
-            "dop_id": point.dop_id,
-            "taken_at": point.taken_at,
-            "reason": point.reason,
-            "context": point.context,
-            "savepoints": point.savepoints,
+            "dop_id": dop_id,
+            "taken_at": taken_at,
+            "reason": reason,
+            "data": context.data,
+            "tool_state": context.tool_state,
+            "work_done": context.work_done,
+            "log_length": len(checked_out),
+            "savepoints": savepoints.images(),
         })
         self.points_taken += 1
-        return point
+
+    def forget_volatile(self) -> None:
+        """Drop the journaled-length table (the workstation crashed);
+        the next point of every DOP rewrites its log whole."""
+        self._journaled.clear()
 
     # -- restart ---------------------------------------------------------------
 
@@ -100,11 +131,17 @@ class RecoveryManager:
         raw = self.stable.get(self._key(dop_id))
         if raw is None:
             return None
+        log = self.stable.get(self._log_key(dop_id), [])
         return RecoveryPoint(
             dop_id=raw["dop_id"],
             taken_at=raw["taken_at"],
             reason=raw["reason"],
-            context=raw["context"],
+            context={
+                "data": raw["data"],
+                "tool_state": raw["tool_state"],
+                "checked_out": log[:raw["log_length"]],
+                "work_done": raw["work_done"],
+            },
             savepoints=[(n, s) for n, s in raw["savepoints"]],
         )
 
@@ -125,6 +162,8 @@ class RecoveryManager:
     def remove(self, dop_id: str) -> bool:
         """Drop the recovery point (commit/abort path: "the client-TM
         removes all its savepoints and its recovery point", Sect.5.2)."""
+        self._journaled.pop(dop_id, None)
+        self.stable.delete(self._log_key(dop_id))
         return self.stable.delete(self._key(dop_id))
 
     def has_point(self, dop_id: str) -> bool:

@@ -824,6 +824,7 @@ class ClientTM:
         # is no buffered copy left to invalidate) and recovery
         # re-fetches through the normal checkout chain
         self._active.clear()
+        self.recovery.forget_volatile()
         if self.buffer is not None:
             self.buffer.clear()
             self.server_tm.drop_leases(self.workstation)

@@ -87,3 +87,39 @@ class TestRpc:
         network, rpc, __ = rig
         result = rpc.call("ws-1", "server", "add", 1, 2)
         assert result.latency == pytest.approx(2 * network.lan_latency)
+
+
+class TestReplyCacheBound:
+    def test_reply_keys_bounded_by_callers(self):
+        network = Network()
+        server = network.add_server()
+        callers = [f"ws-{index}" for index in range(4)]
+        for caller in callers:
+            network.add_workstation(caller)
+        rpc = TransactionalRpc(network)
+        rpc.register("server", "echo", lambda value: value)
+        for step in range(400):
+            caller = callers[(step * 7) % len(callers)]
+            assert rpc.call(caller, "server", "echo", step).value == step
+            assert len(server.stable.keys("rpc-reply:")) <= len(callers)
+        assert len(server.stable.keys("rpc-reply:")) == len(callers)
+
+    def test_new_call_drops_only_that_callers_reply(self):
+        network = Network()
+        network.add_server()
+        network.add_workstation("ws-1")
+        network.add_workstation("ws-2")
+        rpc = TransactionalRpc(network)
+        calls = []
+        rpc.register("server", "echo",
+                     lambda value: calls.append(value) or value)
+        rpc.call("ws-1", "server", "echo", "a", call_id="a")
+        rpc.call("ws-2", "server", "echo", "b", call_id="b")
+        rpc.call("ws-1", "server", "echo", "c", call_id="c")
+        # ws-2 has not called again: its reply is still cached
+        assert rpc.call("ws-2", "server", "echo", "b", call_id="b").cached
+        assert calls == ["a", "b", "c"]
+        # ws-1's new call acknowledged "a": a retry re-executes
+        assert not rpc.call("ws-1", "server", "echo", "a",
+                            call_id="a").cached
+        assert calls == ["a", "b", "c", "a"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.repository.versions import DerivationGraph, DesignObjectVersion
@@ -36,6 +38,20 @@ class TestDesignObjectVersion:
         version = dov("v1", area=2.0)
         assert version.get("area") == 2.0
         assert version.get("missing", "d") == "d"
+
+    def test_parents_list_becomes_tuple(self):
+        lineage = ["p1", "p2"]
+        version = DesignObjectVersion("v1", "Cell", {}, "da-1", 0.0,
+                                      lineage)
+        lineage.append("p3")
+        assert version.parents == ("p1", "p2")
+        assert type(version.parents) is tuple
+
+    def test_copies_are_the_version_itself(self):
+        version = dov("v1", ("p1",), nested={"a": [1]})
+        assert copy.deepcopy(version) is version
+        assert copy.copy(version) is version
+        assert copy.deepcopy({"value": version})["value"] is version
 
 
 class TestDerivationGraph:

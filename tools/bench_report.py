@@ -102,6 +102,11 @@ def render_delta(new: dict[str, Any],
                     f"cm-hierarchy-flatness "
                     f"{acceptance.get('cm_hierarchy_flatness')}x "
                     f"<= {acceptance.get('cm_hierarchy_flatness_max')}x")
+            if "te_session_flatness" in acceptance:
+                gates.append(
+                    f"te-session-flatness "
+                    f"{acceptance.get('te_session_flatness')}x "
+                    f"<= {acceptance.get('te_session_flatness_max')}x")
         if "federation_log_bounded" in acceptance:
             gates.append(
                 "federation-log "
