@@ -101,21 +101,6 @@ KERNEL_EVENTS_MIN_OPS_PER_SEC = 2_000_000
 #: one-``sim.Timer``-per-lease heap baseline by at least this factor
 TIMER_CHURN_MIN_SPEEDUP = 5.0
 
-#: acceptance floor (full mode only): the multi-process sharded kernel
-#: at 4 worker processes must deliver at least this much *capacity*
-#: speedup on the T11 saturation storm — total events divided by the
-#: busiest worker's CPU seconds, against the single-process
-#: ShardedKernel's events per CPU second.  Capacity, not wall clock:
-#: CI containers (including this one) pin the suite to one core, where
-#: 4 workers time-slice and wall clock can only lose to process
-#: overhead; events/CPU-second measures how the protocol divides the
-#: work, which is what turns into wall-clock speedup the moment real
-#: cores exist.  The theoretical ceiling is 1/max-shard-share (~3.2x
-#: for the storm's ~31% server shard — the Amdahl floor the federation
-#: arc exists to remove), so 1.5x leaves honest room for rollback
-#: re-execution.
-SHARD_SCALING_MIN_SPEEDUP = 1.5
-
 #: acceptance ceiling (full mode only): per-batch cross-member commit
 #: cost at the largest federation sweep point divided by the cost at
 #: the smallest — the **flatness** of the member-count scaling curve.
@@ -448,91 +433,6 @@ def _measure_scorecard(repeats: int, quick: bool) -> float:
     return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_shard_scaling(quick: bool) -> dict[str, Any]:
-    """The shard-scaling curve of the multi-process kernel.
-
-    Runs the T11 saturation storm once on the single-process
-    :class:`~repro.sim.shard.ShardedKernel` (the baseline and the
-    determinism reference — the storm's event population is identical
-    at every shard count, so one reference serves them all) and then
-    on real spawned worker processes at each measured shard count.
-    Every parallel run's merged trace must be byte-identical to the
-    reference; the reported metric is **capacity** (events per
-    busiest-worker CPU second — see :data:`SHARD_SCALING_MIN_SPEEDUP`
-    for why wall clock is not the gate on a one-core container).
-    """
-    from repro.sim.parallel import (
-        build_saturation_storm,
-        run_program_parallel,
-        run_program_sequential,
-    )
-
-    if quick:
-        workstations, ws_work, server_work, counts = 24, 60, 20, (2,)
-    else:
-        workstations, ws_work, server_work, counts = 400, 1500, 400, (2, 4)
-
-    def storm(shards: int):
-        return build_saturation_storm(
-            shards=shards, workstations=workstations,
-            ws_work=ws_work, server_work=server_work)
-
-    reference = run_program_sequential(storm(1))
-    base_cpu = reference.stats["cpu_seconds"]
-    base_capacity = reference.executed / base_cpu if base_cpu else 0.0
-
-    runs: dict[str, dict[str, Any]] = {}
-    identical = True
-    peak_capacity = 0.0
-    peak_speedup: float | None = None
-    for shards in counts:
-        result = run_program_parallel(storm(shards))
-        stats = result.stats
-        worker_cpu = stats["max_worker_cpu_seconds"]
-        capacity = result.executed / worker_cpu if worker_cpu else 0.0
-        same = (result.events == reference.events
-                and result.executed == reference.executed)
-        identical = identical and same
-        runs[f"shards={shards}"] = {
-            "workers": stats["workers"],
-            "events_per_cpu_sec": round(capacity, 2),
-            "capacity_speedup":
-                round(capacity / base_capacity, 2)
-                if base_capacity else None,
-            "wall_seconds": round(stats["wall_seconds"], 3),
-            "max_worker_cpu_seconds": round(worker_cpu, 4),
-            "rounds": stats["rounds"],
-            "rollbacks": stats["rollbacks"],
-            "rolled_back_events": stats["rolled_back_events"],
-            "speculated": stats["speculated"],
-            "committed_speculative": stats["committed_speculative"],
-            "trace_identical": same,
-        }
-        peak_capacity = capacity
-        peak_speedup = runs[f"shards={shards}"]["capacity_speedup"]
-
-    storm_meta = storm(max(counts)).meta
-    return {
-        "description":
-            "T11 saturation storm on spawned worker processes "
-            "(conservative lookahead + speculation/rollback): merged "
-            "events per busiest-worker CPU second vs the "
-            "single-process ShardedKernel",
-        "ops": reference.executed,
-        "metric": "capacity (events / max worker CPU-second) — wall "
-                  "clock cannot win on a single-core container",
-        "ops_per_sec": round(peak_capacity, 2),
-        "baseline": "single-process ShardedKernel",
-        "baseline_ops_per_sec": round(base_capacity, 2),
-        "speedup_vs_baseline": peak_speedup,
-        "workstations": workstations,
-        "work_shares": storm_meta["work_shares"],
-        "lookahead": storm_meta["lan_latency"],
-        "trace_identical": identical,
-        "runs": runs,
-    }
-
-
 def _measure_federation_scaling(quick: bool,
                                 repeats: int) -> dict[str, Any]:
     """Per-batch cross-member commit cost as the federation grows.
@@ -802,7 +702,7 @@ def _measure_te_session_flatness(quick: bool,
 
 def _environment() -> dict[str, Any]:
     """Host metadata stamped into the artifact: the context any reader
-    of the capacity numbers needs (most of all the core count)."""
+    of the timings needs (most of all the core count)."""
     import os
     import platform
 
@@ -1029,9 +929,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "wall_seconds": round(1.0 / card_rate, 3) if card_rate else None,
     }
 
-    benchmarks["shard_scaling"] = _measure_shard_scaling(quick)
-    scaling = benchmarks["shard_scaling"]
-
     benchmarks["federation_scaling"] = \
         _measure_federation_scaling(quick, repeats)
     federation = benchmarks["federation_scaling"]
@@ -1045,9 +942,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
     session = benchmarks["te_session_flatness"]
 
     determinism = _determinism_guard(quick)
-    determinism["parallel_merge_trace_identical"] = \
-        scaling["trace_identical"]
-    determinism["ok"] = determinism["ok"] and scaling["trace_identical"]
 
     hit = benchmarks["checkout_buffer_hit"]
     flush = benchmarks["group_checkin_flush"]
@@ -1062,8 +956,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "kernel_events_ops_per_sec": kernel["ops_per_sec"],
         "timer_churn_min_speedup": TIMER_CHURN_MIN_SPEEDUP,
         "timer_churn_speedup": churn_bench["speedup_vs_baseline"],
-        "shard_scaling_min_speedup": SHARD_SCALING_MIN_SPEEDUP,
-        "shard_scaling_speedup": scaling["speedup_vs_baseline"],
         "federation_flatness_max": FEDERATION_FLATNESS_MAX,
         "federation_flatness": federation["flatness"],
         "federation_log_bounded": federation["bounded_log"]["ok"],
@@ -1091,8 +983,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
               >= KERNEL_EVENTS_MIN_OPS_PER_SEC
               and (churn_bench["speedup_vs_baseline"] or 0.0)
               >= TIMER_CHURN_MIN_SPEEDUP
-              and (scaling["speedup_vs_baseline"] or 0.0)
-              >= SHARD_SCALING_MIN_SPEEDUP
               and (federation["flatness"] or float("inf"))
               <= FEDERATION_FLATNESS_MAX
               and hierarchy["flatness"] <= CM_HIERARCHY_FLATNESS_MAX
@@ -1151,9 +1041,6 @@ def render(report: dict[str, Any]) -> str:
             f">= {acceptance['kernel_events_min_ops_per_sec']:,d}/s",
             f"timer-churn {acceptance['timer_churn_speedup']:.2f}x "
             f">= {acceptance['timer_churn_min_speedup']:.1f}x",
-            f"shard-scaling {acceptance['shard_scaling_speedup']:.2f}x "
-            f">= {acceptance['shard_scaling_min_speedup']:.1f}x "
-            f"capacity",
             f"federation-flatness {acceptance['federation_flatness']:.2f}x "
             f"<= {acceptance['federation_flatness_max']:.1f}x",
             f"cm-hierarchy-flatness "

@@ -25,13 +25,18 @@ changes unless a gate's baseline deliberately moves with it.
 from __future__ import annotations
 
 import copy
+from contextlib import nullcontext
 from typing import Any
 
 from repro.repository.federation import FederatedRepository
 from repro.repository.repository import DesignDataRepository
 from repro.repository.versions import payload_sizeof
 from repro.sim.kernel import Timer
-from repro.txn.leases import _EPS, _NULL_SCOPE, Lease, LeaseTable
+from repro.txn.leases import _EPS, Lease, LeaseTable
+
+#: the no-op scope every arm of the frozen regime entered; kept so the
+#: reference's per-arm cost (what the timer-churn gate divides by) holds
+_ARM_SCOPE = nullcontext()
 
 # The per-operation counts below are what the pre-freeze data path
 # paid on top of the frozen one, as whole deep copies and sizing walks
@@ -108,8 +113,7 @@ class TimerLeaseTable(LeaseTable):
                           label=f"lease-expiry:{lease.dov_id}"
                                 f"@{lease.workstation}")
             self._timers[key] = timer
-        with kernel.filing_on(kernel.shard_of(self.owner)) \
-                if self.owner is not None else _NULL_SCOPE:
+        with _ARM_SCOPE:
             timer.arm(lease.expires_at)
 
     def _on_timer(self, key: tuple[str, str]) -> None:

@@ -157,8 +157,7 @@ class ConcordSystem:
                  flush_interval: int | None = None,
                  lease_ttl: float | None = None,
                  pressure_fraction: float = 1.0,
-                 shards: int = 1,
-                 parallel: bool = False) -> None:
+                 shards: int = 1) -> None:
         self.clock = SimClock()
         self.ids = IdGenerator()
         self.trace = EventTrace(enabled=trace)
@@ -167,21 +166,10 @@ class ConcordSystem:
         #: :class:`~repro.sim.shard.ShardedKernel`'s merge barrier
         #: (deterministic — seeded traces are identical either way)
         self.shards = shards
-        #: parallel=True marks this world for multi-process execution
-        #: (:mod:`repro.sim.parallel` replicated mode): the kernel
-        #: records per-event shard ownership so each spawned worker
-        #: can contribute exactly its shards' slice of the trace
-        self.parallel = parallel
-        if parallel and shards < 2:
-            raise ValueError(
-                "parallel=True needs shards >= 2 (one worker per "
-                "shard; a single shard has nothing to parallelise)")
         #: the unified discrete-event kernel every layer schedules on
         if shards > 1:
             from repro.sim.shard import ShardedKernel
             self.kernel: Kernel = ShardedKernel(self.clock, shards=shards)
-            if parallel:
-                self.kernel.shard_log = []
         else:
             self.kernel = Kernel(self.clock)
         self.network = Network(self.clock, lan_latency=lan_latency,

@@ -2,19 +2,18 @@
 
 The command surface of the scenario DSL and the trace oracle:
 
-* ``scenario run <file.toml> [--shards N] [--parallel]`` — compile and
-  execute a scenario file, printing its report (``--parallel`` runs the
-  shards on spawned worker processes);
+* ``scenario run <file.toml> [--shards N]`` — compile and execute a
+  scenario file, printing its report;
 * ``scenario validate <file.toml>`` — schema-check only;
 * ``scenario list`` / ``scenario dump <name>`` — the shipped canonical
   library (``dump`` prints the exact TOML the repo ships);
-* ``trace record <file.toml> [-o out.jsonl] [--shards N]
-  [--parallel]`` — run a scenario and persist its full kernel event
-  stream (``.jsonl.gz`` outputs are gzipped deterministically);
-* ``trace replay <trace.jsonl> [--shards N] [--parallel]`` — re-run
-  the embedded scenario and diff the streams (exit 1 on divergence:
-  the CI regression gate); on success the verdict names the shard
-  combination that was replayed;
+* ``trace record <file.toml> [-o out.jsonl] [--shards N]`` — run a
+  scenario and persist its full kernel event stream (``.jsonl.gz``
+  outputs are gzipped deterministically);
+* ``trace replay <trace.jsonl> [--shards N]`` — re-run the embedded
+  scenario and diff the streams (exit 1 on divergence: the CI
+  regression gate); on success the verdict names the shard count that
+  was replayed;
 * ``trace diff <a.jsonl> <b.jsonl>`` — structural diff of two trace
   files with a first-divergence report.
 
@@ -36,7 +35,6 @@ from repro.scenario.schema import (
 from repro.util.errors import KernelError
 from repro.sim.trace import (
     TraceError,
-    build_description,
     diff_traces,
     load_trace,
     record_scenario,
@@ -61,13 +59,6 @@ def _print_report(name: str, report: Any) -> None:
 def _wants_help(args: list[str]) -> bool:
     """True when *args* ask for the usage text (``-h`` / ``--help``)."""
     return "-h" in args or "--help" in args
-
-
-def _pop_flag(args: list[str], flag: str) -> bool:
-    if flag in args:
-        args.remove(flag)
-        return True
-    return False
 
 
 def _pop_option(args: list[str], option: str) -> str | None:
@@ -99,7 +90,7 @@ def _parse_shards(args: list[str]) -> int | None:
 def scenario_main(argv: list[str]) -> int:
     """Entry point of the ``scenario`` subcommand."""
     usage = ("usage: python -m repro scenario "
-             "{run <file.toml> [--shards N] [--parallel] | "
+             "{run <file.toml> [--shards N] | "
              "validate <file.toml> | list | dump <name>}")
     if _wants_help(argv):
         print(usage)
@@ -110,23 +101,13 @@ def scenario_main(argv: list[str]) -> int:
             return 2
         command, rest = argv[0], list(argv[1:])
         if command == "run":
-            parallel = _pop_flag(rest, "--parallel")
             shards = _parse_shards(rest)
             if len(rest) != 1:
                 print(usage)
                 return 2
             config = load_scenario(rest[0])
-            if parallel or config.parallel:
-                from repro.sim.parallel import run_scenario_replicated
-
-                result = run_scenario_replicated(config, shards=shards)
-                _print_report(config.name, result.stats["report"])
-                print(f"parallel: {result.stats['workers']} worker "
-                      f"processes over {result.stats['shards']} "
-                      f"shards, {result.executed} events merged")
-            else:
-                report = compile_scenario(config).run(shards=shards)
-                _print_report(config.name, report)
+            report = compile_scenario(config).run(shards=shards)
+            _print_report(config.name, report)
             return 0
         if command == "validate":
             if len(rest) != 1:
@@ -163,8 +144,7 @@ def trace_main(argv: list[str]) -> int:
     """Entry point of the ``trace`` subcommand."""
     usage = ("usage: python -m repro trace "
              "{record <file.toml> [-o out.jsonl[.gz]] "
-             "[--shards N] [--parallel] | replay <trace.jsonl> "
-             "[--shards N] [--parallel] | "
+             "[--shards N] | replay <trace.jsonl> [--shards N] | "
              "diff <a.jsonl> <b.jsonl>}")
     if _wants_help(argv):
         print(usage)
@@ -175,15 +155,13 @@ def trace_main(argv: list[str]) -> int:
             return 2
         command, rest = argv[0], list(argv[1:])
         if command == "record":
-            parallel = _pop_flag(rest, "--parallel") or None
             shards = _parse_shards(rest)
             out = _pop_option(rest, "-o") or _pop_option(rest, "--out")
             if len(rest) != 1:
                 print(usage)
                 return 2
             config = load_scenario(rest[0])
-            trace = record_scenario(config, shards=shards,
-                                    parallel=parallel)
+            trace = record_scenario(config, shards=shards)
             if out is None:
                 out = f"{config.name}.trace.jsonl"
             save_trace(trace, out)
@@ -191,7 +169,6 @@ def trace_main(argv: list[str]) -> int:
                   f"(final t={trace.final_time}) -> {out}")
             return 0
         if command == "replay":
-            parallel = _pop_flag(rest, "--parallel")
             shards = _parse_shards(rest)
             if len(rest) != 1:
                 print(usage)
@@ -199,12 +176,10 @@ def trace_main(argv: list[str]) -> int:
             trace = load_trace(rest[0])
             if shards is None:
                 shards = int(trace.meta.get("shards", 1))
-            if not parallel:
-                parallel = bool(trace.meta.get("parallel", False))
-            diff = replay_trace(trace, shards=shards, parallel=parallel)
+            diff = replay_trace(trace, shards=shards)
             print(diff.render())
             if diff.identical:
-                print(f"SUCCESS [{build_description(shards, parallel)}]")
+                print(f"SUCCESS [shards={shards}]")
             return 0 if diff.identical else 1
         if command == "diff":
             if len(rest) != 2:

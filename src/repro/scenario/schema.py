@@ -75,9 +75,6 @@ SCENARIO_SCHEMA: dict[str, dict[str, _Key]] = {
     "kernel": {
         "shards": _Key(int, 1, lo=1,
                        doc="kernel event-loop shards (1 = plain)"),
-        "parallel": _Key(bool, False,
-                         doc="run shards on spawned worker processes "
-                             "(needs shards >= 2)"),
     },
     "team": {
         "size": _Key(int, 3, lo=1, doc="designers (one ws each)"),
@@ -198,10 +195,6 @@ class ScenarioConfig:
     @property
     def shards(self) -> int:
         return self.tables["kernel"]["shards"]
-
-    @property
-    def parallel(self) -> bool:
-        return self.tables["kernel"]["parallel"]
 
     def as_tables(self) -> dict[str, dict[str, Any]]:
         """A deep, mutation-safe copy of the canonical table form
@@ -359,11 +352,6 @@ def _check_kind_constraints(config: ScenarioConfig) -> None:
     if config.get("objects", "hotspots") > config.get("objects", "pool"):
         raise ScenarioError(
             "[objects].hotspots: cannot exceed [objects].pool")
-    if config.get("kernel", "parallel") \
-            and config.get("kernel", "shards") < 2:
-        raise ScenarioError(
-            "[kernel].parallel: multi-process execution needs "
-            "[kernel].shards >= 2 (one worker per shard)")
     if kind == "federated_commit":
         if config.get("federation", "members") < 2:
             raise ScenarioError(

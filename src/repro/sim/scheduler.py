@@ -26,8 +26,7 @@ Internals (the PR 7 raw-speed rebuild — order semantics unchanged):
   lazy cancel, one bookkeeping entry per time *bucket*.  The wheel
   drains into the heap strictly before any entry it could precede is
   popped, so dispatch order is byte-identical to the heap-only
-  configuration (``wheel=False``), which the sharded and parallel
-  kernels use.
+  configuration (``wheel=False``), which the sharded kernel uses.
 """
 
 from __future__ import annotations

@@ -20,30 +20,20 @@ across the shard heads:
   order — seeded traces are byte-identical for any shard count, which
   is the determinism contract the perf suite's guard asserts.
 
-This class is the **in-process reference**: ``shards=N`` executes the
-N streams sequentially under the merge barrier, which makes it the
-determinism baseline every parallel run is diffed against.  The real
-multi-process deployment lives in :mod:`repro.sim.parallel` — spawn
-workers per shard, conservative lookahead windows, speculation with
-checkpoint rollback — and its merged trace must be byte-identical to
-this kernel's :attr:`event_log` at the same seed.  Supporting hooks
-here: :meth:`inject` files events with pre-assigned global sequence
-numbers (so replayed streams merge identically), :meth:`filing_on`
-scopes shard-affine scheduling (lease buckets, crash injections), and
-:attr:`shard_log` records the owning shard of every traced event (the
-ownership map replicated scenario workers filter by).
+The N streams execute sequentially under the merge barrier in one
+process; the merged :attr:`event_log` is the same stream a
+single-stream :class:`~repro.sim.kernel.Kernel` records at the same
+seed, which is what the trace oracle checks at every shard count.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterator
+from heapq import heappop, heappush
+from typing import Any, Callable
 from zlib import crc32
 
-from contextlib import contextmanager
-
 from repro.sim.clock import SimClock
-from repro.sim.kernel import Kernel, KernelSnapshot
+from repro.sim.kernel import Kernel
 from repro.sim.scheduler import NO_EVENTS, _ScheduledEvent
 
 
@@ -71,10 +61,6 @@ class ShardedKernel(Kernel):
         self.cross_shard_messages = 0
         #: events filed without crossing (shard-local traffic)
         self.local_messages = 0
-        #: when set to a list, traced dispatch appends the executing
-        #: shard per event — parallel to :attr:`event_log`, giving the
-        #: ownership map replicated workers filter their slice by
-        self.shard_log: list[int] | None = None
 
     # -- placement ----------------------------------------------------------
 
@@ -122,84 +108,6 @@ class ShardedKernel(Kernel):
             self.defer(delay, action, label, priority)
         finally:
             self._current_shard = origin
-
-    @contextmanager
-    def filing_on(self, shard: int) -> Iterator[None]:
-        """Scope in which newly scheduled events file on *shard*.
-
-        Unlike :meth:`defer_to` this is not a delivery: nothing is
-        counted as merge-queue traffic.  It is the placement hook for
-        shard-affine events scheduled from neutral context — lease
-        expiry buckets route to the lease owner's shard, crash/restart
-        injections to the crashed node's shard.
-        """
-        origin = self._current_shard
-        self._current_shard = shard
-        try:
-            yield
-        finally:
-            self._current_shard = origin
-
-    def inject(self, time: float, priority: int, seq: int,
-               action: Callable[[], Any], label: str = "",
-               shard: int = 0) -> None:
-        """File an event with an explicit ``seq`` on *shard*'s stream
-        (the sharded form of :meth:`repro.sim.kernel.Kernel.inject`)."""
-        event = _ScheduledEvent(time, priority, seq, action, label,
-                                pinned=False)
-        heappush(self._streams[shard], (time, priority, seq, event))
-        self._live += 1
-        if seq > self._seq:
-            self._seq = seq
-
-    # -- dispatch -----------------------------------------------------------
-
-    def _execute(self, event: _ScheduledEvent) -> None:
-        if self._trace_events:
-            self.event_log.append((event.time, event.priority,
-                                   event.seq, event.label))
-            log = self.shard_log
-            if log is not None:
-                log.append(self._current_shard)
-        event.action()
-
-    # -- checkpoint / rollback ----------------------------------------------
-
-    def _snapshot_entries(self) -> tuple:
-        entries = []
-        for shard, stream in enumerate(self._streams):
-            for entry in stream:
-                event = entry[3]
-                if event.cancelled:
-                    continue
-                entries.append((shard, event.time, event.priority,
-                                event.seq, event.action, event.label,
-                                event.pinned))
-        return tuple(entries)
-
-    def snapshot(self) -> KernelSnapshot:
-        snap = super().snapshot()
-        snap.current_shard = self._current_shard
-        snap.messages = (self.cross_shard_messages, self.local_messages)
-        return snap
-
-    def _restore_entries(self, entries: tuple) -> None:
-        streams: list[list[tuple]] = [[] for _ in range(self.shards)]
-        for shard, time, priority, seq, action, label, pinned in entries:
-            streams[shard].append(
-                (time, priority, seq,
-                 _ScheduledEvent(time, priority, seq, action, label,
-                                 pinned=pinned)))
-        for stream in streams:
-            heapify(stream)
-        self._streams = streams
-
-    def restore(self, snap: KernelSnapshot) -> None:
-        super().restore(snap)
-        self._current_shard = snap.current_shard
-        self.cross_shard_messages, self.local_messages = snap.messages
-        if self.shard_log is not None:
-            del self.shard_log[snap.log_len:]
 
     # -- the merge barrier --------------------------------------------------
 

@@ -17,8 +17,8 @@ stream into a first-class artifact:
   zeroed mtime, so compressed goldens stay byte-deterministic too),
   and loading auto-detects compression from the magic bytes;
 * :func:`replay_trace` re-runs the scenario embedded in a trace's
-  header (the shard count and the multi-process ``parallel`` mode can
-  be overridden) and diffs the fresh stream against the recorded one;
+  header (the shard count can be overridden) and diffs the fresh
+  stream against the recorded one;
 * :func:`diff_traces` reports the **first divergence** structurally —
   index, expected vs actual event, and the common context leading in —
   so a failed replay names the exact event where a refactor changed
@@ -85,8 +85,7 @@ class KernelTrace:
 
 def capture_trace(kernel: "Kernel",
                   scenario: dict[str, Any] | None = None,
-                  shards: int = 1,
-                  parallel: bool = False) -> KernelTrace:
+                  shards: int = 1) -> KernelTrace:
     """Snapshot *kernel*'s executed event stream as a trace artifact."""
     if not kernel.trace_events and not kernel.event_log:
         raise TraceError("kernel ran with trace_events=False — there "
@@ -96,7 +95,6 @@ def capture_trace(kernel: "Kernel",
         "format": TRACE_FORMAT,
         "scenario": scenario or {},
         "shards": shards,
-        "parallel": parallel,
         "events": len(events),
         "final_time": kernel.clock.now,
     }
@@ -270,42 +268,11 @@ def diff_traces(recorded: KernelTrace, replayed: KernelTrace,
 # record / replay orchestration (lazy scenario imports)
 # ---------------------------------------------------------------------------
 
-def build_description(shards: int, parallel: bool = False) -> str:
-    """One-line human summary of a shard combination — what the CLI
-    prints next to a replay verdict."""
-    if parallel:
-        return f"shards={shards} parallel (multi-process)"
-    return f"shards={shards}"
-
-
 def record_scenario(config: "ScenarioConfig",
-                    shards: int | None = None,
-                    parallel: bool | None = None) -> KernelTrace:
-    """Run *config* and capture its full event stream.
-
-    With ``parallel=True`` the scenario executes on spawned worker
-    processes (:func:`repro.sim.parallel.run_scenario_replicated`) and
-    the captured stream is the cross-process merge — recording *is*
-    the multi-process determinism check.
-    """
+                    shards: int | None = None) -> KernelTrace:
+    """Run *config* and capture its full event stream."""
     from repro.scenario import compile_scenario
 
-    if parallel is None:
-        parallel = config.parallel
-    if parallel:
-        from repro.sim.parallel import run_scenario_replicated
-
-        result = run_scenario_replicated(config, shards=shards)
-        meta = {
-            "format": TRACE_FORMAT,
-            "scenario": config.as_tables(),
-            "shards": result.stats["shards"],
-            "parallel": True,
-            "events": len(result.events),
-            "final_time": result.final_time,
-        }
-        return KernelTrace(meta=meta,
-                           events=[tuple(e) for e in result.events])
     compiled = compile_scenario(config)
     captured: list[Any] = []
     compiled.run(shards=shards, on_kernel=captured.append)
@@ -319,13 +286,12 @@ def record_scenario(config: "ScenarioConfig",
 
 def replay_trace(trace: KernelTrace,
                  shards: int | None = None,
-                 parallel: bool | None = None,
                  context: int = 3) -> TraceDiff:
     """Re-run the scenario embedded in *trace* and diff the streams.
 
-    *shards* / *parallel* select the combination to replay against
-    (default: the combination the trace was recorded under).  Returns
-    the structural diff; ``diff.identical`` is the regression gate.
+    *shards* selects the shard count to replay at (default: the one
+    the trace was recorded under).  Returns the structural diff;
+    ``diff.identical`` is the regression gate.
     """
     from repro.scenario.schema import validate_scenario
 
@@ -335,7 +301,5 @@ def replay_trace(trace: KernelTrace,
     config = validate_scenario(trace.scenario)
     if shards is None:
         shards = int(trace.meta.get("shards", config.shards))
-    if parallel is None:
-        parallel = bool(trace.meta.get("parallel", False))
-    fresh = record_scenario(config, shards=shards, parallel=parallel)
+    fresh = record_scenario(config, shards=shards)
     return diff_traces(trace, fresh, context=context)

@@ -1,13 +1,28 @@
-"""Sharded deterministic event loop: merge order, routing, and the
-shards>1 state-equivalence contract."""
+"""Sharded deterministic event loop: merge order, routing, the
+shards>1 state-equivalence contract, and cross-process determinism
+(the same recording in two interpreters with different hash seeds)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.bench.scenarios import concurrent_delegation_scenario
+from repro.scenario import canonical_scenarios, validate_scenario
+from repro.scenario.schema import dump_scenario
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
 from repro.sim.shard import ShardedKernel
+
+#: one scheduled workstation crash: (node, at, restart_after)
+CRASH = ("ws-B", 15.0, 5.0)
+
+#: the source tree subprocesses import ``repro`` from
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestMergeOrder:
@@ -169,3 +184,59 @@ class TestShardTraceCapture:
         storm(ShardedKernel(SimClock(), shards=2))
         assert untraced == seen
         assert kernel.event_log == []
+
+
+class TestCrashInjectionUnderShards:
+    """``schedule_crash`` with ``shards > 1`` changes nothing
+    observable in the final report."""
+
+    def test_reports_identical_across_shard_counts(self):
+        __, reference = concurrent_delegation_scenario(
+            ("A", "B", "C"), crash=CRASH, shards=1)
+        for shards in (2, 4):
+            __, report = concurrent_delegation_scenario(
+                ("A", "B", "C"), crash=CRASH, shards=shards)
+            assert report == reference, f"shards={shards}"
+
+
+def _repro(args: list[str], hash_seed: str, cwd: Path):
+    """Run ``python -m repro *args`` in a fresh interpreter whose
+    string hashing is seeded with *hash_seed*."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "repro", *args],
+                          cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestCrossProcessDeterminism:
+    """Two interpreters with different ``PYTHONHASHSEED`` values record
+    the same stream: nothing in the simulation depends on set or dict
+    iteration order of hashed strings, or on the process it runs in."""
+
+    def test_hash_seeded_recordings_are_identical(self, tmp_path):
+        from repro.sim.trace import load_trace, record_scenario
+
+        raw = canonical_scenarios()["t7_concurrent_team"].as_tables()
+        raw["crashes"]["schedule"] = [
+            {"node": CRASH[0], "at": CRASH[1],
+             "restart_after": CRASH[2]}]
+        config = validate_scenario(raw)
+        toml = tmp_path / "t7_crash.toml"
+        toml.write_text(dump_scenario(config))
+        paths = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hashseed{hash_seed}.jsonl"
+            done = _repro(["trace", "record", str(toml), "--shards", "2",
+                           "-o", str(out)], hash_seed, tmp_path)
+            assert done.returncode == 0, done.stderr
+            paths.append(out)
+        done = _repro(["trace", "diff", *map(str, paths)], "0", tmp_path)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "traces identical" in done.stdout
+        in_process = record_scenario(config, shards=2)
+        recorded = load_trace(paths[0])
+        assert recorded.events == in_process.events
+        assert any(label == f"crash:{CRASH[0]}"
+                   for *_, label in recorded.events)

@@ -84,6 +84,27 @@ class TestGoldenReplay:
         diff = replay_trace(loaded)
         assert diff.identical, f"{name}:\n{diff.render()}"
 
+    def test_retired_parallel_key_is_a_named_error(self, golden, tmp_path,
+                                                   capsys):
+        """A header whose scenario still carries ``[kernel].parallel``
+        (multi-process execution is gone) fails the replay with exit 2
+        and a diagnostic naming the key, not a traceback."""
+        from repro.__main__ import main
+
+        name, trace = golden
+        scenario = {table: dict(keys)
+                    for table, keys in trace.scenario.items()}
+        scenario["kernel"]["parallel"] = False
+        stale = KernelTrace(
+            meta={**trace.meta, "scenario": scenario, "parallel": False},
+            events=list(trace.events))
+        path = save_trace(stale, tmp_path / "stale.jsonl")
+        assert main(["trace", "replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "'parallel'" in captured.err
+        assert "[kernel]" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestDivergenceReporting:
     def test_doctored_event_reports_first_divergence(self, golden):

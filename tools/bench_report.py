@@ -87,11 +87,6 @@ def render_delta(new: dict[str, Any],
                     f"scorecard speedup "
                     f"{acceptance.get('scorecard_speedup')}x "
                     f">= {acceptance.get('scorecard_min_speedup')}x")
-            if "shard_scaling_min_speedup" in acceptance:
-                gates.append(
-                    f"shard-scaling capacity "
-                    f"{acceptance.get('shard_scaling_speedup')}x "
-                    f">= {acceptance.get('shard_scaling_min_speedup')}x")
             if "federation_flatness" in acceptance:
                 gates.append(
                     f"federation-flatness "
